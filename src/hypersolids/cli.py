@@ -3,7 +3,8 @@
 Subcommands: eval, table, triangle, sums, verify, represent.  Each accepts
 ``--format {text,csv,json}`` and ``--output PATH``.  Exit codes: 0 on
 success (and on verified consistency), 1 when a verification or consistency
-check fails, 2 on malformed usage.
+check fails, 2 on malformed usage or an ``--output`` path that cannot be
+written.
 
 CSV output is deterministic: comma-separated fields, every row newline
 terminated, no quoting (fields are decimal digits or fixed labels).  JSON
@@ -21,7 +22,7 @@ from typing import Sequence
 from .kernel import METHODS, hypersolid
 from .search import representations
 from .sums import SumReport, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
-from .triangle import build_triangle, diagonal_sum, row_sum
+from .triangle import _diagonals, build_triangle, row_sum
 from .verify import SUITES, GridBounds, run_suites
 
 
@@ -133,7 +134,7 @@ def _cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
     if args.diagonals is not None:
         if args.diagonals < 2:
             raise ValueError(f"--diagonals must be >= 2, got {args.diagonals}")
-        diag = [diagonal_sum(args.d, args.diagonals, k) for k in range(2, args.rows + 1)]
+        diag = _diagonals(tri.rows, args.diagonals, args.rows)
     query = {"command": "triangle", "d": args.d, "rows": args.rows, "diagonals": args.diagonals}
 
     if args.format == "json":
@@ -396,7 +397,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # includes RangeError: malformed query -> usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.output)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:  # e.g. --output into a missing directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

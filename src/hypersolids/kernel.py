@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import NamedTuple
+from operator import add
+from typing import Callable, Iterator, NamedTuple
 
 #: Evaluation routes accepted by :func:`hypersolid`.
 METHODS = ("closed", "summation")
@@ -112,6 +113,33 @@ def hyper4(d: int, n: int) -> int:
 def _closed(v: int, d: int, n: int) -> int:
     # Total on all coordinates thanks to the zero-extended binomial.
     return binomial(v + n - 2, v - 1) + d * binomial(v + n - 2, v)
+
+
+def _triangle_rows(
+    d: int, c_max: int, width: Callable[[int], int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield rows 0..c_max of the difference-d triangle, ``row[v] = S(v, d, c - v)``.
+
+    Rows 0-2 come from the closed form.  From row 3 on each row is built by
+    the adjacent-pair rule: ``d`` (the dimension-0 value), then the sums of
+    adjacent pairs of the row above, then the rank-0 zero.  That is one
+    big-int addition per cell instead of two binomials.
+
+    ``width(c)``, when given, keeps only the first ``width(c)`` positions of
+    row c.  It must be at least 1 and must not grow with c, so that every
+    pair a kept cell needs is still present in the truncated row above.
+    """
+    prev: tuple[int, ...] = ()
+    for c in range(c_max + 1):
+        w = c + 1 if width is None else min(c + 1, width(c))
+        if c < 3:
+            row = tuple(_closed(v, d, c - v) for v in range(w))
+        elif w > c:
+            row = (d, *map(add, prev[1:], prev), 0)
+        else:
+            row = (d, *map(add, prev[1:w], prev))
+        yield row
+        prev = row
 
 
 def _by_summation(v: int, d: int, n: int) -> int:

@@ -15,13 +15,22 @@ kind of regularities Pascal's does:
 
 The helpers here build the triangle and expose the quantities those rules
 talk about; the exhaustive sweeps live in :mod:`hypersolids.verify`.
+
+Rows are built by the first of those rules: rows 0-2 come from the closed
+form and every later row from adjacent-pair sums of the one above, so rows
+0..c cost O(c**2) big-int additions.  ``recurrence_sequence`` reads its
+diagonals off such rows, cut to the cells the diagonals reach.  The rule
+itself is witnessed only by scalar closed-form values (the ``adjacency``
+verify cases and the adjacency test compare ``hypersolid`` against
+``hypersolid``), never by a triangle built with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .kernel import RangeError, _check, binomial, hypersolid
+from .kernel import RangeError, _check, _triangle_rows, binomial, hypersolid
 
 
 @dataclass(frozen=True)
@@ -53,11 +62,7 @@ def build_triangle(d: int, c_max: int) -> Triangle:
     """Rows 0..c_max of the arrangement for one common difference."""
     _check("d", d)
     _check("c_max", c_max)
-    rows = tuple(
-        tuple(hypersolid(v, d, c - v) for v in range(c + 1))
-        for c in range(c_max + 1)
-    )
-    return Triangle(d=d, c_max=c_max, rows=rows)
+    return Triangle(d=d, c_max=c_max, rows=tuple(_triangle_rows(d, c_max)))
 
 
 def row_sum(d: int, c: int) -> int:
@@ -108,7 +113,25 @@ def recurrence_sequence(d: int, m: int, count: int) -> list[int]:
     _check("d", d)
     _check("m", m, 2)
     _check("count", count, 2)
-    return [diagonal_sum(d, m, k) for k in range(2, count + 2)]
+    k_max = count + 1
+    # Row c meets diagonal k = c + (m - 1) * v, so only its first
+    # (k_max - c) // (m - 1) + 1 positions reach a diagonal we need.
+    rows = _triangle_rows(d, k_max, width=lambda c: (k_max - c) // (m - 1) + 1)
+    return _diagonals(rows, m, k_max)
+
+
+def _diagonals(rows: Iterable[tuple[int, ...]], m: int, k_max: int) -> list[int]:
+    """Slope-1/m diagonal totals for k = 2..k_max, read off triangle rows.
+
+    ``rows`` yields row c = 0, 1, ... with ``row[v] = S(v, d, c - v)``;
+    cell (c, v) lies on diagonal k = c + (m - 1) * v.  Rows may be cut
+    short, as long as every cell with k <= k_max is present.
+    """
+    totals = [0] * (k_max + 1)
+    for c, row in enumerate(rows):
+        for k, value in zip(range(c, k_max + 1, m - 1), row):
+            totals[k] += value
+    return totals[2:]
 
 
 def pascal_entry_check(c: int, v: int) -> bool:

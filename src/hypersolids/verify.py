@@ -131,8 +131,8 @@ def _gnomon_cases(b: GridBounds) -> list[Case]:
 
 
 def _adjacency(d: int, c: int, v: int) -> tuple[int, int]:
-    tri = build_triangle(d, c)
-    return tri.entry(c, v), tri.entry(c - 1, v) + tri.entry(c - 1, v - 1)
+    # Scalars on both sides: triangles are built by this very rule.
+    return hypersolid(v, d, c - v), hypersolid(v, d, c - 1 - v) + hypersolid(v - 1, d, c - v)
 
 
 def _column_compilation(d: int, v: int, n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

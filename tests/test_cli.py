@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from hypersolids import diagonal_sum
+
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
@@ -142,6 +144,14 @@ def test_triangle_csv(run_cli):
         "diagonal,2,1\n"
         "diagonal,3,2\n"
     )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_triangle_diagonals_match_scalar_diagonal_sums(run_cli, m):
+    code, out, _ = run_cli("triangle", "--d", "5", "--rows", "40", "--diagonals", str(m))
+    assert code == 0
+    expected = " ".join(str(diagonal_sum(5, m, k)) for k in range(2, 41))
+    assert out.splitlines()[-1] == f"diagonals m={m}: {expected}"
 
 
 def test_triangle_rejects_bad_diagonal_slope(run_cli):
@@ -318,6 +328,14 @@ def test_output_flag_writes_file_and_keeps_stdout_quiet(run_cli, tmp_path):
     )
     assert (code, out, err) == (0, "", "")
     assert path.read_text() == "d/n,1,2,3\n1,1,3,6\n2,1,4,9\n"
+
+
+def test_output_into_missing_directory_is_usage_error(run_cli, tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli("eval", "--v", "2", "--d", "1", "--n", "3", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_csv_and_json_are_byte_deterministic(run_cli):

@@ -50,6 +50,15 @@ def test_row_shape_and_trailing_zero():
             assert tri.entry(c, v) == hypersolid(v, 3, c - v)
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 7, 20])
+@pytest.mark.parametrize("c_max", [0, 1, 2, 3, 4, 60])
+def test_triangle_matches_closed_form_cell_by_cell(d, c_max):
+    tri = build_triangle(d, c_max)
+    assert tri.rows == tuple(
+        tuple(hypersolid(v, d, c - v) for v in range(c + 1)) for c in range(c_max + 1)
+    )
+
+
 def test_entry_bounds():
     tri = build_triangle(2, 5)
     with pytest.raises(RangeError):
@@ -86,11 +95,13 @@ def test_row_sums_double_and_accumulate():
 
 
 def test_adjacent_pairs_generate_next_row():
+    # Scalars only: build_triangle itself uses this rule, so it cannot witness it.
     for d in range(9):
-        tri = build_triangle(d, 24)
         for c in range(3, 25):
             for v in range(1, c):
-                assert tri.entry(c, v) == tri.entry(c - 1, v) + tri.entry(c - 1, v - 1)
+                assert hypersolid(v, d, c - v) == (
+                    hypersolid(v, d, c - 1 - v) + hypersolid(v - 1, d, c - v)
+                )
 
 
 def test_adjacency_does_not_extend_to_row_two():
@@ -155,6 +166,17 @@ def test_diagonal_sum_matches_literal_enumeration():
                     if m * v + n == k
                 )
                 assert diagonal_sum(d, m, k) == literal
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 50])
+@pytest.mark.parametrize("count", [2, 3, 9, 60])
+def test_recurrence_sequence_matches_literal_enumeration(m, count):
+    for d in (0, 1, 5):
+        literal = [
+            sum(hypersolid(v, d, n) for v in range(k + 1) for n in range(k + 1) if m * v + n == k)
+            for k in range(2, count + 2)
+        ]
+        assert recurrence_sequence(d, m, count) == literal
 
 
 def test_recurrence_sequence_seeds_and_examples():
