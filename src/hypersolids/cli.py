@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Sequence
 
-from .kernel import METHODS, hypersolid
+from .kernel import COORD_LIMIT, METHODS, _check, hypersolid
 from .search import representations
 from .sums import SumReport, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
 from .triangle import _diagonals, build_triangle, row_sum
@@ -128,12 +128,12 @@ def _cmd_table(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
+    if args.diagonals is not None:
+        _check("--diagonals", args.diagonals, 2)
     tri = build_triangle(args.d, args.rows)
     sums = [row_sum(args.d, c) for c in range(args.rows + 1)]
     diag = None
     if args.diagonals is not None:
-        if args.diagonals < 2:
-            raise ValueError(f"--diagonals must be >= 2, got {args.diagonals}")
         diag = _diagonals(tri.rows, args.diagonals, args.rows)
     query = {"command": "triangle", "d": args.d, "rows": args.rows, "diagonals": args.diagonals}
 
@@ -287,7 +287,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_represent(args: argparse.Namespace) -> tuple[str, int]:
     d_range = None
     if args.dmin != 0 or args.dmax is not None:
-        d_range = (args.dmin, args.dmax if args.dmax is not None else args.value)
+        d_hi = args.dmax if args.dmax is not None else min(args.value, COORD_LIMIT - 1)
+        d_range = (args.dmin, d_hi)
     hits = representations(
         args.value,
         v_range=(args.vmin, args.vmax),

@@ -22,6 +22,7 @@ plain ``int`` with no overflow or rounding anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterator, NamedTuple
@@ -51,6 +52,18 @@ class IndexTriple(NamedTuple):
 
 
 def _check(name: str, value: int, minimum: int = 0) -> int:
+    """``value`` as an exact int in [minimum, COORD_LIMIT), else RangeError.
+
+    bool is refused although it is an int subclass; other integer-like
+    objects (those with ``__index__``) are converted, floats are refused.
+    """
+    if type(value) is not int:  # the common case costs this one test
+        if isinstance(value, bool):
+            raise RangeError(f"{name} must be an integer, got {value!r}")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise RangeError(f"{name} must be an integer, got {value!r}") from None
     if value < minimum or value >= COORD_LIMIT:
         raise RangeError(f"{name} must be in [{minimum}, 2**32), got {value}")
     return value
@@ -79,8 +92,8 @@ def gnomon_term(d: int, r: int) -> int:
 
     These are the pieces whose running total builds the polygonal numbers.
     """
-    _check("d", d)
-    _check("r", r, 1)
+    d = _check("d", d)
+    r = _check("r", r, 1)
     return 1 + (r - 1) * d
 
 
@@ -91,22 +104,22 @@ def polygonal(d: int, n: int) -> int:
     numbers.  The product n(2 + (n-1)d) is always even, so the division
     below is exact.
     """
-    _check("d", d)
-    _check("n", n)
+    d = _check("d", d)
+    n = _check("n", n)
     return n * (2 + (n - 1) * d) // 2
 
 
 def pyramidal(d: int, n: int) -> int:
     """The nth pyramidal number with common difference d (exact, /6 divides)."""
-    _check("d", d)
-    _check("n", n)
+    d = _check("d", d)
+    n = _check("n", n)
     return n * (n + 1) * (3 + (n - 1) * d) // 6
 
 
 def hyper4(d: int, n: int) -> int:
     """The nth four-dimensional figurate number (exact, /24 divides)."""
-    _check("d", d)
-    _check("n", n)
+    d = _check("d", d)
+    n = _check("n", n)
     return n * (n + 1) * (n + 2) * (4 + (n - 1) * d) // 24
 
 
@@ -160,9 +173,9 @@ def hypersolid(v: int, d: int, n: int, method: str = "closed") -> int:
     ``method`` selects the evaluation route (see module docstring); the two
     routes agree on every triple, which the verification suites sweep.
     """
-    _check("v", v)
-    _check("d", d)
-    _check("n", n)
+    v = _check("v", v)
+    d = _check("d", d)
+    n = _check("n", n)
     if method == "closed":
         return _closed(v, d, n)
     if method == "summation":
@@ -176,9 +189,9 @@ def n_gnomon(v: int, d: int, n: int) -> int:
     Satisfies hypersolid(v, d, n) == hypersolid(v, d, n - 1) + n_gnomon(v, d, n)
     whenever v >= 1, n >= 1 and v + n >= 3.
     """
-    _check("v", v, 1)
-    _check("d", d)
-    _check("n", n, 1)
+    v = _check("v", v, 1)
+    d = _check("d", d)
+    n = _check("n", n, 1)
     return _closed(v - 1, d, n)
 
 
@@ -188,9 +201,9 @@ def d_gnomon(v: int, d: int, n: int) -> int:
     Satisfies hypersolid(v, d, n) == hypersolid(v, d - 1, n) + d_gnomon(v, d, n)
     whenever d >= 1, n >= 1 and v + n >= 3.
     """
-    _check("v", v)
-    _check("d", d, 1)
-    _check("n", n, 1)
+    v = _check("v", v)
+    d = _check("d", d, 1)
+    n = _check("n", n, 1)
     return _closed(v, 1, n - 1)
 
 
@@ -200,7 +213,7 @@ def v_gnomon(v: int, d: int, n: int) -> int:
     Satisfies hypersolid(v, d, n) - hypersolid(v - 1, d, n) == v_gnomon(v, d, n)
     whenever v >= 1, n >= 1 and v + n >= 3.
     """
-    _check("v", v, 1)
-    _check("d", d)
-    _check("n", n, 1)
+    v = _check("v", v, 1)
+    d = _check("d", d)
+    n = _check("n", n, 1)
     return _closed(v, d, n - 1)

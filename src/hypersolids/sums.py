@@ -8,6 +8,14 @@ s < 2).  Every query here returns a :class:`SumReport` holding the closed
 form (or ``None`` where none applies) next to an exhaustive enumeration of
 the same triples, so the two can be compared exactly.
 
+A slice query builds only its own O(s) cells, one closed form per cell.
+The whole simplex is read row by row from Pascal's triangle
+(:func:`_simplex_rows`), with no binomial per cell: :func:`sum_fixed_s`
+sums those rows without building a coordinate triple, so its cost depends
+only on s and not on what was asked before.  The cells with their
+coordinates are built only when they are listed (:func:`enumerate_triples`,
+``include_triples=True``), and the last two such simplexes are cached.
+
 The binomial and permutation identities the closed forms rest on are
 catalogued in :data:`LEMMAS` and individually checkable via
 :func:`lemma_check`.
@@ -18,25 +26,45 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .kernel import IndexTriple, RangeError, _check, _closed, binomial, permutation
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
 
 
-@lru_cache(maxsize=64)
+def _cell(v: int, d: int, n: int) -> tuple[IndexTriple, int]:
+    return IndexTriple(v, d, n), _closed(v, d, n)
+
+
+def _simplex_rows(s: int) -> Iterator[list[int]]:
+    """The values on the simplex v + d + n = s, one list per difference.
+
+    The list for difference d holds S(v, d, s - d - v) for v = 0..s - d;
+    the lists come for d = s, s - 1, ..., 0.  The cells of one list share
+    m = v + n - 2 = s - d - 2, so their values C(m, v - 1) + d * C(m, v)
+    are read from row m of Pascal's triangle, and each row is the
+    adjacent-pair sums of the one before.  For m < 0 every value is zero.
+    """
+    for d in range(s, max(s - 2, -1), -1):
+        yield [0] * (s - d + 1)
+    pascal = [0, 1, 0, 0]  # pascal[v] = C(m, v - 1) for v = 0..m + 3, here m = 0
+    for d in range(s - 2, -1, -1):
+        yield list(map(add, pascal, map(d.__mul__, pascal[1:])))
+        pascal = [0, *map(add, pascal, pascal[1:]), 0]
+
+
+@lru_cache(maxsize=2)
 def _triples(s: int) -> Pairs:
-    out = []
-    for v in range(s + 1):
-        for d in range(s - v + 1):
-            out.append((IndexTriple(v, d, s - v - d), _closed(v, d, s - v - d)))
-    return tuple(out)
+    by_d = list(_simplex_rows(s))[::-1]
+    cells = [(v, d) for v in range(s + 1) for d in range(s - v + 1)]
+    return tuple([(IndexTriple(v, d, s - v - d), by_d[d][v]) for v, d in cells])
 
 
 def enumerate_triples(s: int) -> list[tuple[IndexTriple, int]]:
     """All (v, d, n) with v + d + n == s, lexicographic, with their values."""
-    _check("s", s)
+    s = _check("s", s)
     return list(_triples(s))
 
 
@@ -64,23 +92,38 @@ class SumReport:
 
 
 def _report(
-    candidates: list[tuple[IndexTriple, int]],
+    candidates: Iterable[tuple[IndexTriple, int]],
     formula_sum: int | None,
     formula_multitude: int | None,
     include_triples: bool,
 ) -> SumReport:
     nonzero = [(t, value) for t, value in candidates if value]
-    enum_sum = sum(value for _, value in nonzero)
+    return _tally(
+        sum(value for _, value in nonzero),
+        len(nonzero),
+        formula_sum,
+        formula_multitude,
+        tuple(nonzero) if include_triples else None,
+    )
+
+
+def _tally(
+    enum_sum: int,
+    multitude: int,
+    formula_sum: int | None,
+    formula_multitude: int | None,
+    triples: Pairs | None = None,
+) -> SumReport:
     return SumReport(
         formula_sum=formula_sum,
         enumerated_sum=enum_sum,
         formula_multitude=formula_multitude,
-        enumerated_multitude=len(nonzero),
-        triples=tuple(nonzero) if include_triples else None,
+        enumerated_multitude=multitude,
+        triples=triples,
         consistent=(
             formula_sum is not None
             and formula_sum == enum_sum
-            and formula_multitude == len(nonzero)
+            and formula_multitude == multitude
         ),
     )
 
@@ -91,11 +134,11 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     Closed form: C(s-1, 2) for v = 0, else C(s-1, v) + C(s-1, v+2); the
     nonzero count is s - 2 (floored at 0) for v = 0, else s - v.
     """
-    _check("s", s)
-    _check("v", v)
+    s = _check("s", s)
+    v = _check("v", v)
     if v > s:
         raise RangeError(f"fixed coordinate must not exceed the total: v={v} > s={s}")
-    candidates = [(t, value) for t, value in _triples(s) if t.v == v]
+    candidates = [_cell(v, d, s - v - d) for d in range(s - v + 1)]
     if v == 0:
         formula_sum = binomial(s - 1, 2)
         formula_multitude = max(s - 2, 0)
@@ -112,11 +155,11 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     nonzero count s - 1 when d = 0 and s - d otherwise.  For d in
     {s - 1, s} every candidate value is zero and no closed form applies.
     """
-    _check("s", s)
-    _check("d", d)
+    s = _check("s", s)
+    d = _check("d", d)
     if d > s:
         raise RangeError(f"fixed coordinate must not exceed the total: d={d} > s={s}")
-    candidates = [(t, value) for t, value in _triples(s) if t.d == d]
+    candidates = [_cell(v, d, s - v - d) for v in range(s - d + 1)]
     if d <= s - 2:
         formula_sum = (d + 1) * 2 ** (s - d - 2)
         formula_multitude = s - 1 if d == 0 else s - d
@@ -134,11 +177,11 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     2 <= n < s.  At n = s the single candidate is zero and no closed form
     applies.
     """
-    _check("s", s)
-    _check("n", n)
+    s = _check("s", s)
+    n = _check("n", n)
     if n > s:
         raise RangeError(f"fixed coordinate must not exceed the total: n={n} > s={s}")
-    candidates = [(t, value) for t, value in _triples(s) if t.n == n]
+    candidates = [_cell(v, s - v - n, n) for v in range(s - n + 1)]
     if n == 0:
         formula_sum, formula_multitude = 0, 0
     elif n == 1:
@@ -158,15 +201,20 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     Closed forms 2**s - (s + 1) and C(s+1, 2) - 2 apply for s >= 2; for
     smaller totals only the enumeration stands.
     """
-    _check("s", s)
-    candidates = list(_triples(s))
+    s = _check("s", s)
     if s >= 2:
         formula_sum = 2**s - (s + 1)
         formula_multitude = (s + 1) * s // 2 - 2
     else:
         formula_sum = None
         formula_multitude = None
-    return _report(candidates, formula_sum, formula_multitude, include_triples)
+    if include_triples:
+        return _report(_triples(s), formula_sum, formula_multitude, include_triples)
+    enum_sum = multitude = 0
+    for row in _simplex_rows(s):
+        enum_sum += sum(row)
+        multitude += len(row) - row.count(0)
+    return _tally(enum_sum, multitude, formula_sum, formula_multitude)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ class Triangle:
 
 def build_triangle(d: int, c_max: int) -> Triangle:
     """Rows 0..c_max of the arrangement for one common difference."""
-    _check("d", d)
-    _check("c_max", c_max)
+    d = _check("d", d)
+    c_max = _check("c_max", c_max)
     return Triangle(d=d, c_max=c_max, rows=tuple(_triangle_rows(d, c_max)))
 
 
@@ -71,8 +71,8 @@ def row_sum(d: int, c: int) -> int:
     Equals the literal sum of ``build_triangle(d, c).row(c)``; the doubling
     row to row is what the verification suite checks.
     """
-    _check("d", d)
-    _check("c", c)
+    d = _check("d", d)
+    c = _check("c", c)
     if c < 2:
         return 0
     return (d + 1) * 2 ** (c - 2)
@@ -85,9 +85,9 @@ def compile_row(d: int, n: int, v: int) -> int:
     ``hypersolid(v, d, n + 1)``: summing across dimensions advances the
     rank by one.
     """
-    _check("d", d)
-    _check("n", n)
-    _check("v", v)
+    d = _check("d", d)
+    n = _check("n", n)
+    v = _check("v", v)
     return sum(hypersolid(r, d, n) for r in range(v + 1))
 
 
@@ -98,9 +98,9 @@ def diagonal_sum(d: int, m: int, k: int) -> int:
     grows these totals satisfy a(k) = a(k - 1) + a(k - m); for m = 2 that
     is the Fibonacci recurrence seeded by d and d + 1.
     """
-    _check("d", d)
-    _check("m", m, 2)
-    _check("k", k, 2)
+    d = _check("d", d)
+    m = _check("m", m, 2)
+    k = _check("k", k, 2)
     return sum(hypersolid(v, d, k - m * v) for v in range(k // m + 1))
 
 
@@ -110,9 +110,9 @@ def recurrence_sequence(d: int, m: int, count: int) -> list[int]:
     For m = 2 the result begins d, d + 1, 2d + 1, 3d + 2, 5d + 3, ... with
     Fibonacci-weighted coefficients; every m obeys a(k) = a(k-1) + a(k-m).
     """
-    _check("d", d)
-    _check("m", m, 2)
-    _check("count", count, 2)
+    d = _check("d", d)
+    m = _check("m", m, 2)
+    count = _check("count", count, 2)
     k_max = count + 1
     # Row c meets diagonal k = c + (m - 1) * v, so only its first
     # (k_max - c) // (m - 1) + 1 positions reach a diagonal we need.
@@ -141,7 +141,7 @@ def pascal_entry_check(c: int, v: int) -> bool:
     cells deep; positions past the end of a row count as 0, which is also
     what the zero-extended binomial gives there.
     """
-    _check("c", c)
-    _check("v", v)
+    c = _check("c", c)
+    v = _check("v", v)
     entry = hypersolid(v, 0, c - v) if v <= c else 0
     return entry == binomial(c - 2, v - 1)

@@ -160,6 +160,15 @@ def test_triangle_rejects_bad_diagonal_slope(run_cli):
     assert "error" in err
 
 
+def test_triangle_rejects_diagonal_slope_outside_the_coordinate_domain(run_cli):
+    code, out, err = run_cli("triangle", "--d", "1", "--rows", "5", "--diagonals", str(2**32))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --diagonals must be in [2, 2**32)")
+    code, out, _ = run_cli("triangle", "--d", "1", "--rows", "5", "--diagonals", str(2**32 - 1))
+    assert code == 0
+    assert out.splitlines()[-1] == f"diagonals m={2**32 - 1}: 1 1 1 1"
+
+
 # ------------------------------------------------------------------ sums
 
 
@@ -295,6 +304,19 @@ def test_represent_criterion_box(run_cli):
         "4,0,8,120\n"
         "4,22,3,120\n"
     )
+
+
+def test_represent_default_difference_cap_stays_in_the_coordinate_domain(run_cli):
+    # with --dmin and no --dmax the difference range is clipped below 2**32
+    code, out, err = run_cli("represent", "--value", str(10**10), "--dmin", "1", "--vmax", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "S(2,2,100000) = 10000000000",
+        "S(2,2020202,100) = 10000000000",
+        "S(2,222222222,10) = 10000000000",
+        "S(2,1666666666,4) = 10000000000",
+        "S(3,999999999,4) = 10000000000",
+    ]
 
 
 def test_represent_empty_box(run_cli):

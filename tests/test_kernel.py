@@ -213,6 +213,26 @@ def test_coordinates_out_of_range(v, d, n):
         hypersolid(v, d, n)
 
 
+@pytest.mark.parametrize("v,d,n", [(True, 1, 3), (2, False, 3), (2.0, 1, 3), (2, 1, 3.5), (2, "1", 3)])
+def test_coordinates_must_be_integers(v, d, n):
+    # bool is an int subclass and floats have no exact index: both are rejected
+    with pytest.raises(RangeError, match="must be an integer"):
+        hypersolid(v, d, n)
+
+
+def test_coordinates_accept_integer_like_objects():
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    assert hypersolid(Index(2), Index(1), Index(3)) == 6
+    with pytest.raises(RangeError):
+        hypersolid(Index(2**32), 1, 3)
+
+
 # --------------------------------------------------------------- gnomons
 
 

@@ -8,6 +8,7 @@ plain product formulas (no shared code with the package's closed form);
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,63 @@ def test_representation_preconditions():
         representations(10, v_range=(5, 2))
     with pytest.raises(RangeError):
         representations(10, d_range=(3, 1))
+    with pytest.raises(RangeError):
+        representations(10, d_range=(0, 2**32))
+    with pytest.raises(RangeError):
+        representations(10, d_range=(-1, 3))
+    with pytest.raises(RangeError):
+        representations(10, n_max=2**32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    target=st.integers(min_value=1, max_value=250),
+    v_lo=st.integers(min_value=0, max_value=5),
+    v_span=st.integers(min_value=0, max_value=2),
+    d_lo=st.integers(min_value=0, max_value=3),
+    d_span=st.integers(min_value=0, max_value=30),
+    n_min=st.integers(min_value=0, max_value=4),
+    n_max=st.none() | st.integers(min_value=0, max_value=40),
+)
+def test_representations_match_naive_scan_on_random_boxes(
+    target, v_lo, v_span, d_lo, d_span, n_min, n_max
+):
+    v_hi, d_hi = v_lo + v_span, d_lo + d_span
+    if v_lo < 2 and n_max is None:
+        n_max = 40  # dimensions below 2 need an explicit rank cap
+    hits = representations(target, (v_lo, v_hi), (d_lo, d_hi), n_min, n_max)
+    # with no cap the box reaches every rank, but past n = target + 2 even
+    # the d = 0 value of a dimension >= 2 exceeds the target
+    n_cap = target + 2 if n_max is None else n_max
+    want = naive_hits(target, v_lo, v_hi, d_lo, d_hi, n_min, n_cap)
+    assert [tuple(h.triple) for h in hits] == sorted(want)
+
+
+def test_large_target_stays_in_the_coordinate_domain():
+    # the v = 2, d = 0 hit would sit at rank 10**10, outside the domain;
+    # the walk covers about sqrt(2 * 10**10) ranks, not 10**10
+    target = 10**10
+    start = time.perf_counter()
+    hits = representations(target)
+    assert time.perf_counter() - start < 1.0
+    assert hits
+    for hit in hits:
+        assert hit.value == target
+        assert hypersolid(*hit.triple) == target
+    # S(2, 2**32, 3) = 3 + 3 * 2**32 lies just past the default difference cap
+    target = 3 + 3 * 2**32
+    assert all(hypersolid(*h.triple) == target for h in representations(target))
+
+
+def test_d0_hits_far_past_the_walk_are_found():
+    # S(3, 0, n) = C(n + 1, 2): the rank walk stops near n = 2 * 10**4 at
+    # v = 3, so the hit at rank 5 * 10**4 must come from the binary search,
+    # as must the natural-number hit S(2, 0, target) = target
+    target = hypersolid(3, 0, 50_000)
+    found = {tuple(h.triple) for h in representations(target, v_range=(2, 3))}
+    assert {(2, 0, target), (3, 0, 50_000)} <= found
+    capped = {tuple(h.triple) for h in representations(target, v_range=(3, 3), n_max=49_999)}
+    assert (3, 0, 50_000) not in capped
 
 
 @settings(max_examples=40, deadline=None)

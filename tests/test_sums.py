@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from hypersolids import sums
 from hypersolids import (
     LEMMAS,
     RangeError,
@@ -257,6 +258,73 @@ def test_reports_carry_their_triples_on_request():
     }
     # and omit them by default
     assert sum_fixed_sv(6, 2).triples is None
+
+
+@pytest.mark.parametrize(
+    "query,axis",
+    [(sum_fixed_sv, 0), (sum_fixed_sd, 1), (sum_fixed_sn, 2)],
+    ids=["v", "d", "n"],
+)
+def test_slices_list_the_nonzero_cells_of_the_whole_simplex(query, axis):
+    # each slice is built on its own; it must hold exactly the simplex's
+    # nonzero cells with that coordinate pinned, in the simplex's order
+    for s in range(31):
+        pairs = enumerate_triples(s)
+        for k in range(s + 1):
+            want = tuple((t, value) for t, value in pairs if t[axis] == k and value)
+            assert query(s, k, include_triples=True).triples == want, (s, k)
+
+
+def test_slices_never_build_the_whole_simplex(monkeypatch):
+    def whole_simplex(s):
+        raise AssertionError(f"slice query built the whole simplex for s={s}")
+
+    monkeypatch.setattr(sums, "_triples", whole_simplex)
+    for query in (sum_fixed_sv, sum_fixed_sd, sum_fixed_sn):
+        assert query(12, 3).consistent
+
+
+def test_simplex_rows_match_the_closed_form_cell_by_cell():
+    for s in range(41):
+        rows = list(sums._simplex_rows(s))
+        assert [len(row) for row in rows] == list(range(1, s + 2)), s
+        for d, row in zip(range(s, -1, -1), rows):
+            assert row == [hypersolid(v, d, s - d - v) for v in range(s - d + 1)], (s, d)
+
+
+def test_enumerate_triples_matches_the_closed_form_cell_by_cell():
+    for s in range(31):
+        want = [
+            ((v, d, s - v - d), hypersolid(v, d, s - v - d))
+            for v in range(s + 1)
+            for d in range(s - v + 1)
+        ]
+        assert [(tuple(t), value) for t, value in enumerate_triples(s)] == want, s
+
+
+def test_simplex_total_by_rows_equals_the_listed_cells():
+    for s in range(41):
+        by_rows = sum_fixed_s(s)
+        listed = sum_fixed_s(s, include_triples=True)
+        assert by_rows.triples is None
+        assert (by_rows.enumerated_sum, by_rows.enumerated_multitude, by_rows.consistent) == (
+            listed.enumerated_sum,
+            listed.enumerated_multitude,
+            listed.consistent,
+        ), s
+
+
+def test_simplex_total_without_listing_never_builds_the_cells(monkeypatch):
+    def whole_simplex(s):
+        raise AssertionError(f"sum_fixed_s built the listed simplex for s={s}")
+
+    monkeypatch.setattr(sums, "_triples", whole_simplex)
+    assert sum_fixed_s(12).consistent
+    assert sum_fixed_s(1).enumerated_sum == 0
+
+
+def test_simplex_cache_holds_at_most_two_totals():
+    assert sums._triples.cache_info().maxsize == 2
 
 
 # ----------------------------------------------------------------- lemmas
