@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import accumulate
+from math import comb
 from operator import add
 from typing import Callable, Iterator, NamedTuple
 
@@ -51,19 +52,26 @@ class IndexTriple(NamedTuple):
     n: int
 
 
-def _check(name: str, value: int, minimum: int = 0) -> int:
-    """``value`` as an exact int in [minimum, COORD_LIMIT), else RangeError.
+def _exact_int(name: str, value: object) -> int:
+    """``value`` as an exact int, else RangeError.
 
     bool is refused although it is an int subclass; other integer-like
     objects (those with ``__index__``) are converted, floats are refused.
     """
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise RangeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check(name: str, value: int, minimum: int = 0) -> int:
+    """``value`` as an exact int in [minimum, COORD_LIMIT), else RangeError."""
     if type(value) is not int:  # the common case costs this one test
-        if isinstance(value, bool):
-            raise RangeError(f"{name} must be an integer, got {value!r}")
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise RangeError(f"{name} must be an integer, got {value!r}") from None
+        value = _exact_int(name, value)
     if value < minimum or value >= COORD_LIMIT:
         raise RangeError(f"{name} must be in [{minimum}, 2**32), got {value}")
     return value
@@ -124,8 +132,16 @@ def hyper4(d: int, n: int) -> int:
 
 
 def _closed(v: int, d: int, n: int) -> int:
-    # Total on all coordinates thanks to the zero-extended binomial.
-    return binomial(v + n - 2, v - 1) + d * binomial(v + n - 2, v)
+    # The zero-extended closed form with its corners spelled out, so that a
+    # cell costs two math.comb calls and no Python binomial frame: m < 0
+    # (v + n < 2) zeroes both binomials, v = 0 leaves d * C(m, 0), and
+    # math.comb itself returns 0 when its k exceeds m.
+    m = v + n - 2
+    if m < 0:
+        return 0
+    if v == 0:
+        return d
+    return comb(m, v - 1) + d * comb(m, v)
 
 
 def _triangle_rows(
@@ -173,9 +189,13 @@ def hypersolid(v: int, d: int, n: int, method: str = "closed") -> int:
     ``method`` selects the evaluation route (see module docstring); the two
     routes agree on every triple, which the verification suites sweep.
     """
-    v = _check("v", v)
-    d = _check("d", d)
-    n = _check("n", n)
+    # One test admits the common case; _check converts or rejects the rest
+    # with its per-coordinate message.  The gnomons below do the same.
+    if not (
+        type(v) is type(d) is type(n) is int
+        and 0 <= v < COORD_LIMIT and 0 <= d < COORD_LIMIT and 0 <= n < COORD_LIMIT
+    ):
+        v, d, n = _check("v", v), _check("d", d), _check("n", n)
     if method == "closed":
         return _closed(v, d, n)
     if method == "summation":
@@ -189,9 +209,11 @@ def n_gnomon(v: int, d: int, n: int) -> int:
     Satisfies hypersolid(v, d, n) == hypersolid(v, d, n - 1) + n_gnomon(v, d, n)
     whenever v >= 1, n >= 1 and v + n >= 3.
     """
-    v = _check("v", v, 1)
-    d = _check("d", d)
-    n = _check("n", n, 1)
+    if not (
+        type(v) is type(d) is type(n) is int
+        and 1 <= v < COORD_LIMIT and 0 <= d < COORD_LIMIT and 1 <= n < COORD_LIMIT
+    ):
+        v, d, n = _check("v", v, 1), _check("d", d), _check("n", n, 1)
     return _closed(v - 1, d, n)
 
 
@@ -201,9 +223,11 @@ def d_gnomon(v: int, d: int, n: int) -> int:
     Satisfies hypersolid(v, d, n) == hypersolid(v, d - 1, n) + d_gnomon(v, d, n)
     whenever d >= 1, n >= 1 and v + n >= 3.
     """
-    v = _check("v", v)
-    d = _check("d", d, 1)
-    n = _check("n", n, 1)
+    if not (
+        type(v) is type(d) is type(n) is int
+        and 0 <= v < COORD_LIMIT and 1 <= d < COORD_LIMIT and 1 <= n < COORD_LIMIT
+    ):
+        v, d, n = _check("v", v), _check("d", d, 1), _check("n", n, 1)
     return _closed(v, 1, n - 1)
 
 
@@ -213,7 +237,9 @@ def v_gnomon(v: int, d: int, n: int) -> int:
     Satisfies hypersolid(v, d, n) - hypersolid(v - 1, d, n) == v_gnomon(v, d, n)
     whenever v >= 1, n >= 1 and v + n >= 3.
     """
-    v = _check("v", v, 1)
-    d = _check("d", d)
-    n = _check("n", n, 1)
+    if not (
+        type(v) is type(d) is type(n) is int
+        and 1 <= v < COORD_LIMIT and 0 <= d < COORD_LIMIT and 1 <= n < COORD_LIMIT
+    ):
+        v, d, n = _check("v", v, 1), _check("d", d), _check("n", n, 1)
     return _closed(v, d, n - 1)

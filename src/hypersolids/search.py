@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .kernel import COORD_LIMIT, IndexTriple, RangeError, _check, _closed, binomial
+from .kernel import COORD_LIMIT, IndexTriple, RangeError, _check, _closed, _exact_int, binomial
 
 
 class RepresentationHit(NamedTuple):
@@ -32,7 +32,7 @@ def rank_of(value: int, v: int, d: int) -> int | None:
     """Rank n >= 1 with hypersolid(v, d, n) == value, or None if value is skipped.
 
     Defined only where the sequence is strictly increasing in the rank:
-    v >= 2, or v == 1 with d >= 1.  ``value`` must be >= 1.
+    v >= 2, or v == 1 with d >= 1.  ``value`` must be an int >= 1 (not bool).
     """
     v = _check("v", v)
     d = _check("d", d)
@@ -40,6 +40,7 @@ def rank_of(value: int, v: int, d: int) -> int | None:
         raise RangeError(
             "rank lookup needs a strictly increasing sequence: v >= 2, or v == 1 with d >= 1"
         )
+    value = _exact_int("value", value)
     if value < 1:
         raise RangeError(f"value must be >= 1, got {value}")
     lo, hi = 1, 2
@@ -67,7 +68,8 @@ def representations(
     [0, min(target, COORD_LIMIT - 1)]) and n from ``n_min`` (default 3, past
     the trivial rank-1/rank-2 hits) up to ``n_max`` (default
     COORD_LIMIT - 1).  Complete relative to the box: a triple is returned
-    iff it lies inside and its value is exactly ``target``.
+    iff it lies inside and its value is exactly ``target``, which must be an
+    int >= 1 (not bool).
 
     For v >= 2 the ranks are walked only while ``base + max(d_lo, 1) * slope``
     still fits under the target, where d_lo is the low end of the
@@ -80,6 +82,7 @@ def representations(
     dimensions admit arbitrarily large ranks and require an explicit
     ``n_max``; their ranks are walked one by one up to it.
     """
+    target = _exact_int("target", target)
     if target < 1:
         raise RangeError(f"target must be >= 1, got {target}")
     v_lo, v_hi = v_range

@@ -8,13 +8,18 @@ s < 2).  Every query here returns a :class:`SumReport` holding the closed
 form (or ``None`` where none applies) next to an exhaustive enumeration of
 the same triples, so the two can be compared exactly.
 
-A slice query builds only its own O(s) cells, one closed form per cell.
-The whole simplex is read row by row from Pascal's triangle
-(:func:`_simplex_rows`), with no binomial per cell: :func:`sum_fixed_s`
-sums those rows without building a coordinate triple, so its cost depends
-only on s and not on what was asked before.  The cells with their
-coordinates are built only when they are listed (:func:`enumerate_triples`,
-``include_triples=True``), and the last two such simplexes are cached.
+Every value here is C(m, v - 1) + d * C(m, v) with m = v + n - 2, so the
+cells of a slice lie along one line of Pascal's triangle: with the
+difference pinned they share m and read one row, with the dimension pinned
+m runs down a column, and with the rank pinned m and v climb a diagonal.  A
+slice query computes its O(s) values in one pass of ``math.comb`` maps over
+ranges, with the v = 0 and m < 0 corners written out, and calls no Python
+function per cell.  The whole simplex is read row by row from Pascal's
+triangle (:func:`_simplex_rows`), one addition per cell: :func:`sum_fixed_s`
+sums those rows, so its cost depends only on s and not on what was asked
+before.  Coordinate triples are built only when the cells are listed
+(:func:`enumerate_triples`, ``include_triples=True``), and the last two
+listed simplexes are cached.
 
 The binomial and permutation identities the closed forms rest on are
 catalogued in :data:`LEMMAS` and individually checkable via
@@ -26,16 +31,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from itertools import count, repeat, starmap
+from math import comb
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .kernel import IndexTriple, RangeError, _check, _closed, binomial, permutation
+from .kernel import IndexTriple, RangeError, _check, binomial, permutation
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
 
 
-def _cell(v: int, d: int, n: int) -> tuple[IndexTriple, int]:
-    return IndexTriple(v, d, n), _closed(v, d, n)
+def _pascal_values(pascal: list[int], d: int) -> list[int]:
+    """C(m, v - 1) + d * C(m, v) for v = 0..m + 2, given pascal[v] = C(m, v - 1).
+
+    ``pascal`` is row m of Pascal's triangle with one zero in front and two
+    behind, so the v = 0 value comes out as d and the last two as zero.
+    """
+    return list(map(add, pascal, map(d.__mul__, pascal[1:])))
 
 
 def _simplex_rows(s: int) -> Iterator[list[int]]:
@@ -51,7 +63,7 @@ def _simplex_rows(s: int) -> Iterator[list[int]]:
         yield [0] * (s - d + 1)
     pascal = [0, 1, 0, 0]  # pascal[v] = C(m, v - 1) for v = 0..m + 3, here m = 0
     for d in range(s - 2, -1, -1):
-        yield list(map(add, pascal, map(d.__mul__, pascal[1:])))
+        yield _pascal_values(pascal, d)
         pascal = [0, *map(add, pascal, pascal[1:]), 0]
 
 
@@ -107,6 +119,21 @@ def _report(
     )
 
 
+def _slice_report(
+    values: list[int],
+    cells: Iterable[tuple[int, int, int]],
+    formula_sum: int | None,
+    formula_multitude: int | None,
+    include_triples: bool,
+) -> SumReport:
+    # values[i] belongs to the i-th coordinates in cells; only a listing
+    # turns those coordinates into IndexTriples
+    if include_triples:
+        pairs = zip(starmap(IndexTriple, cells), values)
+        return _report(pairs, formula_sum, formula_multitude, include_triples)
+    return _tally(sum(values), len(values) - values.count(0), formula_sum, formula_multitude)
+
+
 def _tally(
     enum_sum: int,
     multitude: int,
@@ -138,14 +165,24 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     v = _check("v", v)
     if v > s:
         raise RangeError(f"fixed coordinate must not exceed the total: v={v} > s={s}")
-    candidates = [_cell(v, d, s - v - d) for d in range(s - v + 1)]
+    # A column of Pascal's triangle: m = s - d - 2 runs down as d runs up.
+    if v == 0:
+        values = [*range(s - 1), 0, 0][: s + 1]  # d while n >= 2, then n = 1, 0
+    else:
+        ds = range(min(s - v, s - 2) + 1)  # the cells with m >= 0
+        ms = range(s - 2, s - 2 - len(ds), -1)
+        values = [
+            *map(add, map(comb, ms, repeat(v - 1)), map(mul, ds, map(comb, ms, repeat(v)))),
+            *[0] * (s - v + 1 - len(ds)),  # v = 1, n = 0: m = -1
+        ]
+    cells = zip(repeat(v), range(s - v + 1), range(s - v, -1, -1))
     if v == 0:
         formula_sum = binomial(s - 1, 2)
         formula_multitude = max(s - 2, 0)
     else:
         formula_sum = binomial(s - 1, v) + binomial(s - 1, v + 2)
         formula_multitude = s - v
-    return _report(candidates, formula_sum, formula_multitude, include_triples)
+    return _slice_report(values, cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
@@ -159,14 +196,20 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     d = _check("d", d)
     if d > s:
         raise RangeError(f"fixed coordinate must not exceed the total: d={d} > s={s}")
-    candidates = [_cell(v, d, s - v - d) for v in range(s - d + 1)]
+    # A row of Pascal's triangle: every cell has m = s - d - 2.
+    m = s - d - 2
+    if m < 0:
+        values = [0] * (s - d + 1)
+    else:
+        values = _pascal_values([0, *map(comb, repeat(m), range(m + 1)), 0, 0], d)
+    cells = zip(range(s - d + 1), repeat(d), range(s - d, -1, -1))
     if d <= s - 2:
         formula_sum = (d + 1) * 2 ** (s - d - 2)
         formula_multitude = s - 1 if d == 0 else s - d
     else:
         formula_sum = None
         formula_multitude = None
-    return _report(candidates, formula_sum, formula_multitude, include_triples)
+    return _slice_report(values, cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
@@ -181,7 +224,17 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     n = _check("n", n)
     if n > s:
         raise RangeError(f"fixed coordinate must not exceed the total: n={n} > s={s}")
-    candidates = [_cell(v, s - v - n, n) for v in range(s - n + 1)]
+    # A diagonal of Pascal's triangle: m = v + n - 2 climbs with v.  The
+    # v = 0 cell holds d when m >= 0; at n = 0 the v = 1 cell has m < 0 too.
+    lead = [s - n] if n >= 2 else [0] * min(2 - n, s - n + 1)
+    v0 = len(lead)
+    ms = range(v0 + n - 2, s - 1)  # m for v = v0..s - n
+    ds = range(s - n - v0, -1, -1)
+    values = [
+        *lead,
+        *map(add, map(comb, ms, count(v0 - 1)), map(mul, ds, map(comb, ms, count(v0)))),
+    ]
+    cells = zip(range(s - n + 1), range(s - n, -1, -1), repeat(n))
     if n == 0:
         formula_sum, formula_multitude = 0, 0
     elif n == 1:
@@ -192,7 +245,7 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = None
         formula_multitude = None
-    return _report(candidates, formula_sum, formula_multitude, include_triples)
+    return _slice_report(values, cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:

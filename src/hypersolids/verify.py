@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 from .kernel import d_gnomon, hypersolid, n_gnomon, v_gnomon
 from .sums import (
     LEMMAS,
+    SumReport,
     enumerate_triples,
     lemma_check,
     sum_fixed_s,
@@ -207,34 +208,16 @@ def _corollary_cases(b: GridBounds) -> list[Case]:
 # -------------------------------------------------------------- theorems
 
 
-def _consistent_sv(s: int, v: int) -> tuple[bool, bool]:
-    return True, sum_fixed_sv(s, v).consistent
+def _consistent(query: Callable[..., SumReport], *args: int) -> tuple[bool, bool]:
+    return True, query(*args).consistent
 
 
-def _consistent_sd(s: int, d: int) -> tuple[bool, bool]:
-    return True, sum_fixed_sd(s, d).consistent
-
-
-def _marker_sd(s: int, d: int) -> tuple[tuple, tuple]:
-    report = sum_fixed_sd(s, d)
+def _marker(query: Callable[[int, int], SumReport], s: int, k: int) -> tuple[tuple, tuple]:
+    # a degenerate slice: no closed form, and every cell in it is zero
+    report = query(s, k)
     actual = (report.formula_sum, report.enumerated_sum,
               report.formula_multitude, report.enumerated_multitude)
     return (None, 0, None, 0), actual
-
-
-def _consistent_sn(s: int, n: int) -> tuple[bool, bool]:
-    return True, sum_fixed_sn(s, n).consistent
-
-
-def _marker_sn(s: int, n: int) -> tuple[tuple, tuple]:
-    report = sum_fixed_sn(s, n)
-    actual = (report.formula_sum, report.enumerated_sum,
-              report.formula_multitude, report.enumerated_multitude)
-    return (None, 0, None, 0), actual
-
-
-def _consistent_total(s: int) -> tuple[bool, bool]:
-    return True, sum_fixed_s(s).consistent
 
 
 def _cross_partition(s: int) -> tuple[tuple[int, int], tuple]:
@@ -255,18 +238,22 @@ def _theorem_cases(b: GridBounds) -> list[Case]:
     cases: list[Case] = []
     for s in range(2, b.s_max + 1):
         for v in range(s + 1):
-            cases.append((f"fixed-dimension s={s} v={v}", partial(_consistent_sv, s, v)))
+            cases.append(
+                (f"fixed-dimension s={s} v={v}", partial(_consistent, sum_fixed_sv, s, v))
+            )
         for d in range(s + 1):
             if d <= s - 2:
-                cases.append((f"fixed-difference s={s} d={d}", partial(_consistent_sd, s, d)))
+                key, check = f"fixed-difference s={s} d={d}", _consistent
             else:
-                cases.append((f"fixed-difference-degenerate s={s} d={d}", partial(_marker_sd, s, d)))
+                key, check = f"fixed-difference-degenerate s={s} d={d}", _marker
+            cases.append((key, partial(check, sum_fixed_sd, s, d)))
         for n in range(s + 1):
             if n < s:
-                cases.append((f"fixed-rank s={s} n={n}", partial(_consistent_sn, s, n)))
+                key, check = f"fixed-rank s={s} n={n}", _consistent
             else:
-                cases.append((f"fixed-rank-degenerate s={s} n={n}", partial(_marker_sn, s, n)))
-        cases.append((f"simplex-total s={s}", partial(_consistent_total, s)))
+                key, check = f"fixed-rank-degenerate s={s} n={n}", _marker
+            cases.append((key, partial(check, sum_fixed_sn, s, n)))
+        cases.append((f"simplex-total s={s}", partial(_consistent, sum_fixed_s, s)))
         cases.append((f"cross-partition s={s}", partial(_cross_partition, s)))
         cases.append((f"zero-census s={s}", partial(_zero_census, s)))
     return cases

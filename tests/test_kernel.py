@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersolids import (
+    COORD_LIMIT,
     RangeError,
     binomial,
     d_gnomon,
@@ -25,6 +26,7 @@ from hypersolids import (
     pyramidal,
     v_gnomon,
 )
+from hypersolids.kernel import _closed
 
 # ------------------------------------------------------------- oracles
 
@@ -220,17 +222,65 @@ def test_coordinates_must_be_integers(v, d, n):
         hypersolid(v, d, n)
 
 
+class Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_coordinates_accept_integer_like_objects():
-    class Index:
-        def __init__(self, value):
-            self.value = value
-
-        def __index__(self):
-            return self.value
-
     assert hypersolid(Index(2), Index(1), Index(3)) == 6
     with pytest.raises(RangeError):
         hypersolid(Index(2**32), 1, 3)
+
+
+def test_closed_form_corners_match_the_zero_extended_binomials():
+    # the closed form spells out its corners (m = v + n - 2 < 0, v = 0)
+    # instead of leaning on the zero-extended binomial; both must agree
+    for v in range(9):
+        for d in range(6):
+            for n in range(9):
+                want = binomial(v + n - 2, v - 1) + d * binomial(v + n - 2, v)
+                assert _closed(v, d, n) == want, (v, d, n)
+
+
+@pytest.mark.parametrize(
+    "fn,minimums",
+    [(hypersolid, (0, 0, 0)), (n_gnomon, (1, 0, 1)), (d_gnomon, (0, 1, 1)), (v_gnomon, (1, 0, 1))],
+    ids=["hypersolid", "n_gnomon", "d_gnomon", "v_gnomon"],
+)
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["v", "d", "n"])
+def test_one_test_admission_keeps_every_boundary(fn, minimums, axis):
+    # the int fast path and the per-coordinate fallback must draw the same
+    # line at both ends of each coordinate and give the same messages
+    name, minimum = "vdn"[axis], minimums[axis]
+
+    def call(value):
+        args = [2, 1, 3]
+        args[axis] = value
+        return fn(*args)
+
+    top = COORD_LIMIT - 1
+    assert call(top) == call(Index(top))
+    assert call(minimum) == call(Index(minimum))
+    assert call(Index(5)) == call(5)
+    for bad in (COORD_LIMIT, -1, minimum - 1):
+        with pytest.raises(RangeError) as caught:
+            call(bad)
+        assert str(caught.value) == f"{name} must be in [{minimum}, 2**32), got {bad}"
+    for bad in (True, False, 3.0):
+        with pytest.raises(RangeError) as caught:
+            call(bad)
+        assert str(caught.value) == f"{name} must be an integer, got {bad!r}"
+
+
+def test_fast_path_values_at_the_top_of_the_domain():
+    top = COORD_LIMIT - 1
+    assert hypersolid(top, 1, 3) == (top + 1) * top // 2 + top + 1  # C(m, 2) + C(m, 1)
+    assert hypersolid(2, top, 3) == 3 + 3 * top
+    assert hypersolid(2, 1, top) == top * (top + 1) // 2
 
 
 # --------------------------------------------------------------- gnomons

@@ -73,6 +73,29 @@ def test_rank_of_agrees_with_linear_scan():
                 assert rank_of(value, v, d) == table.get(value)
 
 
+class Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("bad", [36.0, True, "36"], ids=["float", "bool", "str"])
+def test_targets_and_values_must_be_exact_integers(bad):
+    with pytest.raises(RangeError, match="must be an integer"):
+        representations(bad, v_range=(2, 3))
+    with pytest.raises(RangeError, match="must be an integer"):
+        rank_of(bad, 2, 1)
+
+
+def test_integer_like_targets_and_values_are_converted():
+    hits = representations(Index(36), v_range=(2, 3))
+    assert hits == representations(36, v_range=(2, 3))
+    assert all(type(hit.value) is int for hit in hits)
+    assert rank_of(Index(36), 2, 1) == 8
+
+
 def test_rank_of_preconditions():
     with pytest.raises(RangeError):
         rank_of(10, 1, 0)   # constant-1 sequence is not invertible

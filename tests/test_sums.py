@@ -284,6 +284,42 @@ def test_slices_never_build_the_whole_simplex(monkeypatch):
         assert query(12, 3).consistent
 
 
+@pytest.mark.parametrize(
+    "query,axis",
+    [(sum_fixed_sv, 0), (sum_fixed_sd, 1), (sum_fixed_sn, 2)],
+    ids=["v", "d", "n"],
+)
+def test_slices_match_scalar_hypersolid_cell_by_cell(query, axis):
+    # the slice maps must never be their own witness: every cell of every
+    # slice is evaluated again by the scalar closed form
+    for s in range(41):
+        for k in range(s + 1):
+            want = []
+            for other in range(s - k + 1):
+                cell = [other, s - k - other]
+                cell.insert(axis, k)
+                value = hypersolid(*cell)
+                if value:
+                    want.append((tuple(cell), value))
+            listed = query(s, k, include_triples=True)
+            bare = query(s, k)
+            assert [(tuple(t), value) for t, value in listed.triples] == want, (s, k)
+            for report in (listed, bare):
+                assert report.enumerated_sum == sum(value for _, value in want), (s, k)
+                assert report.enumerated_multitude == len(want), (s, k)
+            assert bare.triples is None
+
+
+def test_slices_without_listing_build_no_triples(monkeypatch):
+    def no_triple(*coordinates):
+        raise AssertionError(f"slice query built a triple {coordinates}")
+
+    monkeypatch.setattr(sums, "IndexTriple", no_triple)
+    for query in (sum_fixed_sv, sum_fixed_sd, sum_fixed_sn):
+        for k in range(13):
+            assert query(12, k).enumerated_sum >= 0
+
+
 def test_simplex_rows_match_the_closed_form_cell_by_cell():
     for s in range(41):
         rows = list(sums._simplex_rows(s))
