@@ -365,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run exhaustive identity sweeps")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--vmax", type=int, default=8)
-    p.add_argument("--dmax", type=int, default=10)
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--cmax", type=int, default=24)
-    p.add_argument("--smax", type=int, default=40)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for the sweep (default 1)")
+    p.add_argument("--vmax", type=int, default=GridBounds.v_max)
+    p.add_argument("--dmax", type=int, default=GridBounds.d_max)
+    p.add_argument("--nmax", type=int, default=GridBounds.n_max)
+    p.add_argument("--cmax", type=int, default=GridBounds.c_max)
+    p.add_argument("--smax", type=int, default=GridBounds.s_max)
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="sweeps run in one thread; N >= 1 is accepted for compatibility")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("represent", parents=[common],

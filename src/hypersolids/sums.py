@@ -18,8 +18,7 @@ function per cell.  The whole simplex is read row by row from Pascal's
 triangle (:func:`_simplex_rows`), one addition per cell: :func:`sum_fixed_s`
 sums those rows, so its cost depends only on s and not on what was asked
 before.  Coordinate triples are built only when the cells are listed
-(:func:`enumerate_triples`, ``include_triples=True``), and the last two
-listed simplexes are cached.
+(:func:`enumerate_triples`, ``include_triples=True``).
 
 The binomial and permutation identities the closed forms rest on are
 catalogued in :data:`LEMMAS` and individually checkable via
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count, repeat, starmap
 from math import comb
 from operator import add, mul
@@ -67,7 +65,6 @@ def _simplex_rows(s: int) -> Iterator[list[int]]:
         pascal = [0, *map(add, pascal, pascal[1:]), 0]
 
 
-@lru_cache(maxsize=2)
 def _triples(s: int) -> Pairs:
     by_d = list(_simplex_rows(s))[::-1]
     cells = [(v, d) for v in range(s + 1) for d in range(s - v + 1)]

@@ -9,11 +9,16 @@ checked reference values and are compared byte for byte.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hypersolids import diagonal_sum
+import hypersolids
+from hypersolids import GridBounds, diagonal_sum
+from hypersolids.cli import build_parser
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -275,6 +280,31 @@ def test_verify_jobs_do_not_change_output(run_cli):
 def test_verify_rejects_unknown_suite_and_bad_jobs(run_cli):
     assert run_cli("verify", "--suite", "nonsense")[0] == 2
     assert run_cli("verify", "--jobs", "0")[0] == 2
+
+
+@pytest.mark.parametrize("bound", [["--vmax", "-1", "--smax", "-3"], ["--cmax", str(2**32)]])
+def test_verify_rejects_bounds_outside_the_domain(run_cli, bound):
+    code, out, err = run_cli("verify", *bound)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "2**32" in err
+
+
+def test_verify_defaults_are_the_grid_bounds_defaults():
+    args = build_parser().parse_args(["verify"])
+    bounds = GridBounds(v_max=args.vmax, d_max=args.dmax, n_max=args.nmax,
+                        c_max=args.cmax, s_max=args.smax)
+    assert bounds == GridBounds()
+    assert args.jobs == 1
+
+
+def test_importing_the_cli_loads_no_executor():
+    src = str(Path(hypersolids.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, hypersolids.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"
 
 
 # -------------------------------------------------------------- represent

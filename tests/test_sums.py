@@ -359,10 +359,6 @@ def test_simplex_total_without_listing_never_builds_the_cells(monkeypatch):
     assert sum_fixed_s(1).enumerated_sum == 0
 
 
-def test_simplex_cache_holds_at_most_two_totals():
-    assert sums._triples.cache_info().maxsize == 2
-
-
 # ----------------------------------------------------------------- lemmas
 
 
