@@ -10,23 +10,24 @@ CSV output is deterministic: comma-separated fields, every row newline
 terminated, no quoting (fields are decimal digits or fixed labels).  JSON
 output is one object with ``query``, ``result`` and ``consistent`` fields;
 values that can exceed 64 bits are rendered as decimal strings.
+
+Start-up imports only the kernel; each command imports the modules it
+uses, so a call pays only for its own command.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from typing import Sequence
 
-from .kernel import COORD_LIMIT, METHODS, _check, hypersolid
-from .search import representations
-from .sums import SumReport, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
-from .triangle import _diagonals, build_triangle, row_sum
-from .verify import SUITES, GridBounds, run_suites
+from .kernel import COORD_LIMIT, DEFAULT_BOUNDS, METHODS, SUITES, _check, hypersolid
 
 
 def _json_doc(query: dict, result: object, consistent: bool) -> str:
+    import json
+
     return json.dumps({"query": query, "result": result, "consistent": consistent}) + "\n"
 
 
@@ -35,11 +36,29 @@ def _csv(rows: list[list[object]]) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    if os.path.exists(output) and not os.path.isfile(output):
+        # a device or a pipe such as /dev/stdout cannot be replaced: write into it
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+        return
+    # Write a temporary file beside the target, then rename it over the
+    # target: a reader never sees half a file, and a failed write leaves
+    # the old file as it was.  The symlink (if any) is kept, its file replaced.
+    target = os.path.realpath(output)
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, target)
+    except OSError as exc:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass  # never created
+        raise OSError(exc.errno, exc.strerror, output) from None
 
 
 # ------------------------------------------------------------------ eval
@@ -128,6 +147,8 @@ def _cmd_table(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
+    from .triangle import _diagonals, build_triangle, row_sum
+
     if args.diagonals is not None:
         _check("--diagonals", args.diagonals, 2)
     tri = build_triangle(args.d, args.rows)
@@ -179,6 +200,8 @@ def _parse_fix(text: str | None) -> tuple[str, int] | None:
 
 
 def _cmd_sums(args: argparse.Namespace) -> tuple[str, int]:
+    from .sums import sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
+
     fix = _parse_fix(args.fix)
     include = args.list_triples
     if fix is None:
@@ -238,6 +261,8 @@ def _cmd_sums(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    from .verify import GridBounds, run_suites
+
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     bounds = GridBounds(v_max=args.vmax, d_max=args.dmax, n_max=args.nmax,
@@ -285,6 +310,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_represent(args: argparse.Namespace) -> tuple[str, int]:
+    from .search import representations
+
     d_range = None
     if args.dmin != 0 or args.dmax is not None:
         d_hi = args.dmax if args.dmax is not None else min(args.value, COORD_LIMIT - 1)
@@ -365,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run exhaustive identity sweeps")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--vmax", type=int, default=GridBounds.v_max)
-    p.add_argument("--dmax", type=int, default=GridBounds.d_max)
-    p.add_argument("--nmax", type=int, default=GridBounds.n_max)
-    p.add_argument("--cmax", type=int, default=GridBounds.c_max)
-    p.add_argument("--smax", type=int, default=GridBounds.s_max)
+    p.add_argument("--vmax", type=int, default=DEFAULT_BOUNDS["v_max"])
+    p.add_argument("--dmax", type=int, default=DEFAULT_BOUNDS["d_max"])
+    p.add_argument("--nmax", type=int, default=DEFAULT_BOUNDS["n_max"])
+    p.add_argument("--cmax", type=int, default=DEFAULT_BOUNDS["c_max"])
+    p.add_argument("--smax", type=int, default=DEFAULT_BOUNDS["s_max"])
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="sweeps run in one thread; N >= 1 is accepted for compatibility")
     p.set_defaults(func=_cmd_verify)

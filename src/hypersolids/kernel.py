@@ -9,9 +9,10 @@ further round of prefix sums lifts the pattern into one more dimension.
 
 Two independent evaluation routes are provided and agree everywhere:
 
-* ``closed`` - a two-binomial closed form,
-  ``C(v + n - 2, v - 1) + d * C(v + n - 2, v)``, using the zero-extended
-  binomial so that a single expression covers every corner of the domain;
+* ``closed`` - the closed form ``C(v + n - 2, v - 1) + d * C(v + n - 2, v)``,
+  evaluated with one binomial as ``C(v + n - 2, v - 1) * (v + d(n - 1)) / v``
+  (the division is exact) and with the corners of the zero-extended
+  binomial written out, so that it covers the whole domain;
 * ``summation`` - the literal construction: start from the one-dimensional
   progression and apply ``v - 1`` rounds of prefix summation.
 
@@ -34,6 +35,14 @@ METHODS = ("closed", "summation")
 #: Coordinates live in machine range; the values they index need not.
 COORD_LIMIT = 2**32
 
+#: Names of the ``verify`` sweeps, in the order ``verify --suite all`` runs them.
+SUITES = ("oracle", "gnomons", "corollaries", "theorems", "lemmas")
+
+#: Default upper ends of the ``verify`` sweep grids, by ``GridBounds`` field.
+#: They live here so that the command line can show them without importing
+#: the sweeps.
+DEFAULT_BOUNDS = {"v_max": 8, "d_max": 10, "n_max": 12, "c_max": 24, "s_max": 40, "m_max": 30}
+
 
 class RangeError(ValueError):
     """An argument lies outside the domain of the requested operation."""
@@ -50,6 +59,48 @@ class IndexTriple(NamedTuple):
     v: int
     d: int
     n: int
+
+
+#: ``object.__setattr__``, looked up once: record constructors run in hot
+#: loops (the theorems sweep builds thousands of ``SumReport``s).
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable result records (``Triangle``, ``SumReport``).
+
+    A subclass names its fields in ``__slots__`` and sets each one in its
+    own ``__init__`` with ``_set_field``.  Records compare equal
+    only to records of the same class with equal fields, hash by their
+    fields, print like a dataclass, pickle and copy, and refuse assignment
+    and deletion with ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 def _exact_int(name: str, value: object) -> int:
@@ -132,16 +183,18 @@ def hyper4(d: int, n: int) -> int:
 
 
 def _closed(v: int, d: int, n: int) -> int:
-    # The zero-extended closed form with its corners spelled out, so that a
-    # cell costs two math.comb calls and no Python binomial frame: m < 0
-    # (v + n < 2) zeroes both binomials, v = 0 leaves d * C(m, 0), and
-    # math.comb itself returns 0 when its k exceeds m.
+    # C(m, v - 1) + d * C(m, v) with its corners spelled out, so that a cell
+    # costs one math.comb call and no Python binomial frame: m < 0
+    # (v + n < 2) zeroes both binomials and v = 0 leaves d * C(m, 0).  For
+    # v >= 1, C(m, v) = C(m, v - 1) * (n - 1) / v, so the sum is
+    # C(m, v - 1) * (v + d(n - 1)) / v, and v divides that product exactly.
+    # At n = 0 (m = v - 2) math.comb gives 0 and so does the product.
     m = v + n - 2
     if m < 0:
         return 0
     if v == 0:
         return d
-    return comb(m, v - 1) + d * comb(m, v)
+    return comb(m, v - 1) * (v + d * (n - 1)) // v
 
 
 def _triangle_rows(

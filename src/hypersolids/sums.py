@@ -28,13 +28,12 @@ catalogued in :data:`LEMMAS` and individually checkable via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, repeat, starmap
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .kernel import IndexTriple, RangeError, _check, binomial, permutation
+from .kernel import IndexTriple, RangeError, _check, _Record, _set_field, binomial, permutation
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
 
@@ -77,8 +76,7 @@ def enumerate_triples(s: int) -> list[tuple[IndexTriple, int]]:
     return list(_triples(s))
 
 
-@dataclass(frozen=True)
-class SumReport:
+class SumReport(_Record):
     """Closed form versus enumeration for one fixed-total query.
 
     ``formula_sum`` and ``formula_multitude`` are ``None`` when no closed
@@ -88,12 +86,30 @@ class SumReport:
     closed forms are present and match the enumeration.
     """
 
+    __slots__ = ("formula_sum", "enumerated_sum", "formula_multitude",
+                 "enumerated_multitude", "triples", "consistent")
     formula_sum: int | None
     enumerated_sum: int
     formula_multitude: int | None
     enumerated_multitude: int
     triples: Pairs | None
     consistent: bool
+
+    def __init__(
+        self,
+        formula_sum: int | None,
+        enumerated_sum: int,
+        formula_multitude: int | None,
+        enumerated_multitude: int,
+        triples: Pairs | None,
+        consistent: bool,
+    ) -> None:
+        _set_field(self, "formula_sum", formula_sum)
+        _set_field(self, "enumerated_sum", enumerated_sum)
+        _set_field(self, "formula_multitude", formula_multitude)
+        _set_field(self, "enumerated_multitude", enumerated_multitude)
+        _set_field(self, "triples", triples)
+        _set_field(self, "consistent", consistent)
 
     @property
     def formula_applies(self) -> bool:
@@ -267,8 +283,7 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     return _tally(enum_sum, multitude, formula_sum, formula_multitude)
 
 
-@dataclass(frozen=True)
-class _Lemma:
+class _Lemma(NamedTuple):
     params: tuple[str, ...]
     domain: Callable[..., bool]
     lhs: Callable[..., int]

@@ -27,14 +27,12 @@ verify cases and the adjacency test compare ``hypersolid`` against
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .kernel import RangeError, _check, _triangle_rows, binomial, hypersolid
+from .kernel import RangeError, _check, _Record, _set_field, _triangle_rows, binomial, hypersolid
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(_Record):
     """Immutable triangle for one common difference.
 
     ``rows[c][v]`` holds ``hypersolid(v, d, c - v)``; row c has c + 1
@@ -42,9 +40,15 @@ class Triangle:
     data and safe to share between threads.
     """
 
+    __slots__ = ("d", "c_max", "rows")
     d: int
     c_max: int
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, d: int, c_max: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        _set_field(self, "d", d)
+        _set_field(self, "c_max", c_max)
+        _set_field(self, "rows", rows)
 
     def row(self, c: int) -> tuple[int, ...]:
         if not 0 <= c <= self.c_max:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator
 
-from .kernel import _check, d_gnomon, hypersolid, n_gnomon, v_gnomon
+from .kernel import DEFAULT_BOUNDS, SUITES, _check, d_gnomon, hypersolid, n_gnomon, v_gnomon
 from .sums import (
     LEMMAS,
     _simplex_rows,
@@ -32,8 +32,6 @@ from .triangle import (
     row_sum,
 )
 
-SUITES = ("oracle", "gnomons", "corollaries", "theorems", "lemmas")
-
 
 @dataclass(frozen=True)
 class GridBounds:
@@ -43,12 +41,12 @@ class GridBounds:
     :class:`~hypersolids.kernel.RangeError`.
     """
 
-    v_max: int = 8
-    d_max: int = 10
-    n_max: int = 12
-    c_max: int = 24
-    s_max: int = 40
-    m_max: int = 30  # lemma parameter grid
+    v_max: int = DEFAULT_BOUNDS["v_max"]
+    d_max: int = DEFAULT_BOUNDS["d_max"]
+    n_max: int = DEFAULT_BOUNDS["n_max"]
+    c_max: int = DEFAULT_BOUNDS["c_max"]
+    s_max: int = DEFAULT_BOUNDS["s_max"]
+    m_max: int = DEFAULT_BOUNDS["m_max"]  # lemma parameter grid
 
     def __post_init__(self) -> None:
         for field in fields(self):

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -297,14 +299,63 @@ def test_verify_defaults_are_the_grid_bounds_defaults():
     assert args.jobs == 1
 
 
-def test_importing_the_cli_loads_no_executor():
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's hypersolids."""
     src = str(Path(hypersolids.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, hypersolids.cli; print('concurrent.futures' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout == "False\n"
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+
+
+def _imported_modules(*argv: str) -> set[str]:
+    """Modules a fresh interpreter imports for ``python *argv``, read from -X importtime."""
+    done = _python("-X", "importtime", *argv)
+    return {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+_LAYERS = {f"hypersolids.{name}" for name in ("search", "sums", "triangle", "verify")}
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["eval", "--v", "3", "--d", "2", "--n", "5"], {*_LAYERS, "dataclasses", "json"}),
+        (["triangle", "--d", "1", "--rows", "5"],
+         {*_LAYERS - {"hypersolids.triangle"}, "dataclasses", "json"}),
+        (["sums", "--s", "6", "--fix", "v=2"],
+         {*_LAYERS - {"hypersolids.sums"}, "dataclasses", "json"}),
+        (["verify", "--suite", "oracle", "--vmax", "2", "--dmax", "2", "--nmax", "2"],
+         {"hypersolids.search", "concurrent.futures"}),
+    ],
+    ids=["eval", "triangle", "sums", "verify"],
+)
+def test_a_command_imports_only_what_it_uses(argv, absent):
+    # modules bare start-up already loads (site hooks differ between hosts)
+    # are not the CLI's doing
+    loaded = _imported_modules("-m", "hypersolids.cli", *argv) - _imported_modules("-c", "pass")
+    assert "hypersolids.kernel" in loaded
+    assert loaded & absent == set()
+
+
+def test_the_package_imports_its_names_on_first_use():
+    probe = ("import sys, hypersolids; print(set(hypersolids.__all__) <= set(dir(hypersolids)),"
+             " [m for m in sys.modules if m.startswith('hypersolids.')])")
+    assert _python("-c", probe).stdout == "True []\n"
+    for name in hypersolids.__all__:
+        value = getattr(hypersolids, name)
+        if name == "__version__":
+            continue
+        home = getattr(value, "__module__", None)
+        if home is None:  # constants: the kernel's, apart from the lemma catalogue
+            home = "hypersolids.sums" if name == "LEMMAS" else "hypersolids.kernel"
+        assert value is getattr(sys.modules[home], name), name
+    namespace: dict = {}
+    exec("from hypersolids import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hypersolids.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hypersolids.no_such_name
 
 
 # -------------------------------------------------------------- represent
@@ -386,8 +437,47 @@ def test_output_into_missing_directory_is_usage_error(run_cli, tmp_path):
     path = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli("eval", "--v", "2", "--d", "1", "--n", "3", "--output", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
-    assert not path.exists()
+    assert err.startswith("error: ") and str(path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_replaces_an_existing_file_whole(run_cli, tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("a much longer old content\n" * 100)
+    code, out, err = run_cli("eval", "--v", "3", "--d", "2", "--n", "5", "--output", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text() == "55\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_into_a_pipe_writes_through_it(run_cli, tmp_path):
+    # a pipe or device (say /dev/stdout) is written into, never replaced by a file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    code, out, err = run_cli("eval", "--v", "3", "--d", "2", "--n", "5", "--output", str(pipe))
+    reader.join(timeout=10)
+    assert (code, out, err, got) == (0, "", "", ["55\n"])
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+
+def test_failed_output_keeps_the_old_file_and_leaves_no_temporary(run_cli, tmp_path,
+                                                                   monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run_cli("eval", "--v", "3", "--d", "2", "--n", "5", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_csv_and_json_are_byte_deterministic(run_cli):

@@ -237,13 +237,13 @@ def test_coordinates_accept_integer_like_objects():
 
 
 def test_closed_form_corners_match_the_zero_extended_binomials():
-    # the closed form spells out its corners (m = v + n - 2 < 0, v = 0)
-    # instead of leaning on the zero-extended binomial; both must agree
-    for v in range(9):
-        for d in range(6):
-            for n in range(9):
-                want = binomial(v + n - 2, v - 1) + d * binomial(v + n - 2, v)
-                assert _closed(v, d, n) == want, (v, d, n)
+    # the closed form spells out its corners (m = v + n - 2 < 0, v = 0) and
+    # folds the two binomials into one; the two-binomial form is the judge
+    small = [(v, d, n) for v in range(9) for d in range(6) for n in range(9)]
+    large = [(v, d, n) for v, n in ((200, 300), (3000, 4000), (5000, 5000)) for d in (0, 7)]
+    for v, d, n in small + large:
+        want = binomial(v + n - 2, v - 1) + d * binomial(v + n - 2, v)
+        assert _closed(v, d, n) == want, (v, d, n)
 
 
 @pytest.mark.parametrize(

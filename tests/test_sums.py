@@ -8,7 +8,9 @@ this dictionary before the formula side is trusted.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -16,6 +18,7 @@ from hypersolids import sums
 from hypersolids import (
     LEMMAS,
     RangeError,
+    SumReport,
     enumerate_triples,
     hypersolid,
     lemma_check,
@@ -258,6 +261,33 @@ def test_reports_carry_their_triples_on_request():
     }
     # and omit them by default
     assert sum_fixed_sv(6, 2).triples is None
+
+
+def test_sum_report_is_an_immutable_value():
+    listed = sum_fixed_sv(3, 1, include_triples=True)
+    fields = (2, 2, 2, 2, listed.triples, True)
+    report = SumReport(*fields)
+    assert report == listed == SumReport(
+        formula_sum=2, enumerated_sum=2, formula_multitude=2, enumerated_multitude=2,
+        triples=listed.triples, consistent=True,
+    )
+    assert hash(report) == hash(SumReport(*fields))
+    assert report != SumReport(2, 2, 2, 2, None, True)
+    assert report != fields
+    assert repr(report) == (
+        "SumReport(formula_sum=2, enumerated_sum=2, formula_multitude=2, "
+        "enumerated_multitude=2, triples=((IndexTriple(v=1, d=0, n=2), 1), "
+        "(IndexTriple(v=1, d=1, n=1), 1)), consistent=True)"
+    )
+    assert report.formula_applies and not SumReport(None, 0, None, 0, None, False).formula_applies
+    for name in ("consistent", "triples", "other"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    for name in ("consistent", "formula_sum"):
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+    assert report == SumReport(*fields)
+    assert copy.copy(report) == pickle.loads(pickle.dumps(report)) == report
 
 
 @pytest.mark.parametrize(

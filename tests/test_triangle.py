@@ -6,10 +6,14 @@ literal additions done here, independent of the closed forms under test.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from hypersolids import (
     RangeError,
+    Triangle,
     build_triangle,
     compile_row,
     diagonal_sum,
@@ -65,6 +69,26 @@ def test_entry_bounds():
         tri.row(6)
     with pytest.raises(RangeError):
         tri.entry(3, 4)
+
+
+def test_triangle_is_an_immutable_value():
+    rows = ((0,), (0, 0), (1, 1, 0))
+    tri = Triangle(1, 2, rows)
+    assert tri == Triangle(d=1, c_max=2, rows=rows) == build_triangle(1, 2)
+    assert hash(tri) == hash(Triangle(d=1, c_max=2, rows=rows))
+    assert tri != Triangle(2, 2, rows) and tri != Triangle(1, 1, rows[:2])
+    assert tri != (1, 2, rows)
+    assert repr(tri) == "Triangle(d=1, c_max=2, rows=((0,), (0, 0), (1, 1, 0)))"
+    assert (tri.d, tri.c_max, tri.rows) == (1, 2, rows)
+    assert tri.row(2) == (1, 1, 0) and tri.entry(2, 0) == 1
+    for name in ("d", "rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(tri, name, 3)
+    for name in ("d", "rows"):
+        with pytest.raises(AttributeError):
+            delattr(tri, name)
+    assert tri == Triangle(1, 2, rows)
+    assert copy.copy(tri) == pickle.loads(pickle.dumps(tri)) == tri
 
 
 # -------------------------------------------------------------- row sums
