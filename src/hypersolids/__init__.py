@@ -35,47 +35,7 @@ _HOMES = {
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "COORD_LIMIT",
-    "METHODS",
-    "SUITES",
-    "GridBounds",
-    "IndexTriple",
-    "LEMMAS",
-    "RangeError",
-    "RepresentationHit",
-    "SumReport",
-    "Triangle",
-    "VerifyOutcome",
-    "__version__",
-    "binomial",
-    "build_triangle",
-    "compile_row",
-    "d_gnomon",
-    "diagonal_sum",
-    "enumerate_triples",
-    "gnomon_term",
-    "hyper4",
-    "hypersolid",
-    "lemma_check",
-    "n_gnomon",
-    "pascal_entry_check",
-    "permutation",
-    "polygonal",
-    "pyramidal",
-    "rank_of",
-    "recurrence_sequence",
-    "representations",
-    "row_sum",
-    "run_suite",
-    "run_suites",
-    "sequence_slice",
-    "sum_fixed_s",
-    "sum_fixed_sd",
-    "sum_fixed_sn",
-    "sum_fixed_sv",
-    "v_gnomon",
-]
+__all__ = ["__version__", *sorted(_HOME_OF)]
 
 
 def __getattr__(name: str) -> object:

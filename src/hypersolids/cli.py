@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands: eval, table, triangle, sums, verify, represent.  Each accepts
-``--format {text,csv,json}`` and ``--output PATH``.  Exit codes: 0 on
-success (and on verified consistency), 1 when a verification or consistency
-check fails, 2 on malformed usage or an ``--output`` path that cannot be
-written.
+``--format {text,csv,json}`` and ``--output PATH``.  Each command returns
+``(query, consistent, payload)``, where the payload is the JSON result, the
+CSV rows or the text lines for the chosen format; :func:`_render` frames it
+and :func:`main` writes it.  Exit codes: 0 when ``consistent`` is true, 1
+when it is false (a verification or consistency check failed), 2 on
+malformed usage or an ``--output`` path that cannot be written.
 
 CSV output is deterministic: comma-separated fields, every row newline
 terminated, no quoting (fields are decimal digits or fixed labels).  JSON
@@ -20,19 +22,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .kernel import COORD_LIMIT, DEFAULT_BOUNDS, METHODS, SUITES, _check, hypersolid
+from .kernel import COORD_LIMIT, DEFAULT_BOUNDS, METHODS, SUITES, IndexTriple, _check, hypersolid
 
-
-def _json_doc(query: dict, result: object, consistent: bool) -> str:
-    import json
-
-    return json.dumps({"query": query, "result": result, "consistent": consistent}) + "\n"
+Result = tuple[dict, bool, object]  # (query, consistent, payload for args.format)
+_BOUNDS = ("vmax", "dmax", "nmax", "cmax", "smax")  # verify flags; GridBounds calls vmax v_max
 
 
-def _csv(rows: list[list[object]]) -> str:
-    return "".join(",".join(str(field) for field in row) + "\n" for row in rows)
+def _render(fmt: str, query: dict, consistent: bool, payload: object) -> str:
+    if fmt == "json":
+        import json
+
+        return json.dumps({"query": query, "result": payload, "consistent": consistent}) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in payload)
+    return "".join(line + "\n" for line in payload)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -61,101 +66,69 @@ def _emit(text: str, output: str | None) -> None:
         raise OSError(exc.errno, exc.strerror, output) from None
 
 
-# ------------------------------------------------------------------ eval
+def _cells(fmt: str, pairs: Iterable[tuple[IndexTriple, int]]) -> list:
+    """Listed (coordinates, value) pairs as JSON objects, CSV fields or text lines."""
+    if fmt == "json":
+        return [{"v": t.v, "d": t.d, "n": t.n, "value": str(value)} for t, value in pairs]
+    if fmt == "csv":
+        return [[t.v, t.d, t.n, value] for t, value in pairs]
+    return [f"S({t.v},{t.d},{t.n}) = {value}" for t, value in pairs]
 
 
-def _cmd_eval(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_eval(args: argparse.Namespace) -> Result:
     query = {"command": "eval", "v": args.v, "d": args.d, "n": args.n, "method": args.method}
-    if args.method == "both":
-        values = {m: hypersolid(args.v, args.d, args.n, m) for m in METHODS}
-        consistent = values["closed"] == values["summation"]
-        code = 0 if consistent else 1
-        if args.format == "json":
-            result = {m: str(values[m]) for m in METHODS}
-            return _json_doc(query, result, consistent), code
-        if args.format == "csv":
-            rows: list[list[object]] = [["v", "d", "n", "method", "value"]]
-            rows += [[args.v, args.d, args.n, m, values[m]] for m in METHODS]
-            return _csv(rows), code
-        lines = [f"{m}={values[m]}" for m in METHODS]
-        if not consistent:
-            lines.append("MISMATCH")
-        return "\n".join(lines) + "\n", code
-    value = hypersolid(args.v, args.d, args.n, args.method)
+    both = args.method == "both"
+    methods = METHODS if both else (args.method,)
+    values = {m: hypersolid(args.v, args.d, args.n, m) for m in methods}
+    consistent = len(set(values.values())) == 1
     if args.format == "json":
-        return _json_doc(query, {"value": str(value)}, True), 0
+        return query, consistent, {m if both else "value": str(x) for m, x in values.items()}
     if args.format == "csv":
-        return _csv([["v", "d", "n", "method", "value"],
-                     [args.v, args.d, args.n, args.method, value]]), 0
-    return f"{value}\n", 0
+        rows = [[args.v, args.d, args.n, m, x] for m, x in values.items()]
+        return query, consistent, [["v", "d", "n", "method", "value"], *rows]
+    lines = [f"{m}={x}" if both else str(x) for m, x in values.items()]
+    return query, consistent, lines if consistent else [*lines, "MISMATCH"]
 
 
-# ----------------------------------------------------------------- table
-
-
-def _cmd_table(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_table(args: argparse.Namespace) -> Result:
     if args.v < 2:
         raise ValueError(f"--v must be >= 2 for tables, got {args.v}")
     if args.dmax < 1 or args.nmax < 1:
         raise ValueError("--dmax and --nmax must be >= 1")
-    v, dmax, nmax = args.v, args.dmax, args.nmax
+    v, dmax, nmax, gnomons = args.v, args.dmax, args.nmax, args.gnomons
     ns = list(range(1, nmax + 1))
     ds = list(range(1, dmax + 1))
     grid = {d: [hypersolid(v, d, n) for n in ns] for d in ds}
-    n_gnomons = {d: hypersolid(v - 1, d, nmax) for d in ds} if args.gnomons else None
-    d_gnomons = [hypersolid(v, 1, n - 1) for n in ns] if args.gnomons else None
-    query = {"command": "table", "v": v, "dmax": dmax, "nmax": nmax, "gnomons": args.gnomons}
+    n_gnomons = {d: hypersolid(v - 1, d, nmax) for d in ds} if gnomons else None
+    d_gnomons = [hypersolid(v, 1, n - 1) for n in ns] if gnomons else None
+    query = {"command": "table", "v": v, "dmax": dmax, "nmax": nmax, "gnomons": gnomons}
 
     if args.format == "json":
-        rows = [
-            {"d": d, "values": [str(x) for x in grid[d]]}
-            | ({"n_gnomon": str(n_gnomons[d])} if n_gnomons else {})
-            for d in ds
-        ]
-        result = {
-            "n": ns,
-            "rows": rows,
-            "d_gnomons": [str(x) for x in d_gnomons] if d_gnomons else None,
-        }
-        return _json_doc(query, result, True), 0
+        rows = [{"d": d, "values": [str(x) for x in grid[d]]}
+                | ({"n_gnomon": str(n_gnomons[d])} if gnomons else {}) for d in ds]
+        d_row = [str(x) for x in d_gnomons] if gnomons else None
+        return query, True, {"n": ns, "rows": rows, "d_gnomons": d_row}
+    rows = [["d/n", *ns] + (["(n)"] if gnomons else [])]
+    rows += [[d, *grid[d]] + ([n_gnomons[d]] if gnomons else []) for d in ds]
+    if gnomons:
+        rows.append(["(d)", *d_gnomons, ""])
     if args.format == "csv":
-        header: list[object] = ["d/n", *ns] + (["(n)"] if args.gnomons else [])
-        rows = [header]
-        for d in ds:
-            rows.append([d, *grid[d]] + ([n_gnomons[d]] if n_gnomons else []))
-        if d_gnomons:
-            rows.append(["(d)", *d_gnomons, ""])
-        return _csv(rows), 0
-    # text: aligned columns
-    header_cells = ["d\\n"] + [str(n) for n in ns] + (["(n)"] if args.gnomons else [])
-    body = []
-    for d in ds:
-        cells = [str(d)] + [str(x) for x in grid[d]]
-        if n_gnomons:
-            cells.append(str(n_gnomons[d]))
-        body.append(cells)
-    if d_gnomons:
-        body.append(["(d)"] + [str(x) for x in d_gnomons] + ([""] if args.gnomons else []))
-    widths = [max(len(row[i]) for row in [header_cells, *body] if i < len(row))
-              for i in range(len(header_cells))]
-    lines = [" ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
-             for row in [header_cells, *body]]
-    return "\n".join(line.rstrip() for line in lines) + "\n", 0
+        return query, True, rows
+    # text: the same cells, right-aligned in columns
+    rows[0][0] = "d\\n"
+    cells = [[str(x) for x in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return query, True, [" ".join(map(str.rjust, row, widths)).rstrip() for row in cells]
 
 
-# -------------------------------------------------------------- triangle
-
-
-def _cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_triangle(args: argparse.Namespace) -> Result:
     from .triangle import _diagonals, build_triangle, row_sum
 
     if args.diagonals is not None:
         _check("--diagonals", args.diagonals, 2)
     tri = build_triangle(args.d, args.rows)
     sums = [row_sum(args.d, c) for c in range(args.rows + 1)]
-    diag = None
-    if args.diagonals is not None:
-        diag = _diagonals(tri.rows, args.diagonals, args.rows)
+    diag = None if args.diagonals is None else _diagonals(tri.rows, args.diagonals, args.rows)
     query = {"command": "triangle", "d": args.d, "rows": args.rows, "diagonals": args.diagonals}
 
     if args.format == "json":
@@ -168,22 +141,16 @@ def _cmd_triangle(args: argparse.Namespace) -> tuple[str, int]:
                 else None
             ),
         }
-        return _json_doc(query, result, True), 0
+        return query, True, result
     if args.format == "csv":
         rows: list[list[object]] = [["row", c, *tri.rows[c], sums[c]] for c in range(args.rows + 1)]
         if diag is not None:
             rows += [["diagonal", k + 2, value] for k, value in enumerate(diag)]
-        return _csv(rows), 0
-    lines = [
-        " ".join(str(x) for x in tri.rows[c]) + f" | {sums[c]}"
-        for c in range(args.rows + 1)
-    ]
+        return query, True, rows
+    lines = [" ".join(str(x) for x in row) + f" | {total}" for row, total in zip(tri.rows, sums)]
     if diag is not None:
         lines.append(f"diagonals m={args.diagonals}: " + " ".join(str(x) for x in diag))
-    return "\n".join(lines) + "\n", 0
-
-
-# ------------------------------------------------------------------ sums
+    return query, True, lines
 
 
 def _parse_fix(text: str | None) -> tuple[str, int] | None:
@@ -199,50 +166,33 @@ def _parse_fix(text: str | None) -> tuple[str, int] | None:
     return coord, value
 
 
-def _cmd_sums(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_sums(args: argparse.Namespace) -> Result:
     from .sums import sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
 
     fix = _parse_fix(args.fix)
     include = args.list_triples
     if fix is None:
         report = sum_fixed_s(args.s, include_triples=include)
-    elif fix[0] == "v":
-        report = sum_fixed_sv(args.s, fix[1], include_triples=include)
-    elif fix[0] == "d":
-        report = sum_fixed_sd(args.s, fix[1], include_triples=include)
     else:
-        report = sum_fixed_sn(args.s, fix[1], include_triples=include)
-    code = 0 if report.consistent else 1
+        pinned = {"v": sum_fixed_sv, "d": sum_fixed_sd, "n": sum_fixed_sn}[fix[0]]
+        report = pinned(args.s, fix[1], include_triples=include)
     query = {"command": "sums", "s": args.s,
              "fix": None if fix is None else {fix[0]: fix[1]}, "list": include}
+    fields = {name: getattr(report, name) for name in
+              ("formula_sum", "formula_multitude", "enumerated_sum", "enumerated_multitude")}
+    cells = None if report.triples is None else _cells(args.format, report.triples)
 
     if args.format == "json":
-        result = {
-            "formula_sum": None if report.formula_sum is None else str(report.formula_sum),
-            "formula_multitude": report.formula_multitude,
-            "enumerated_sum": str(report.enumerated_sum),
-            "enumerated_multitude": report.enumerated_multitude,
-            "triples": (
-                None
-                if report.triples is None
-                else [{"v": t.v, "d": t.d, "n": t.n, "value": str(value)}
-                      for t, value in report.triples]
-            ),
-        }
-        return _json_doc(query, result, report.consistent), code
+        # the sums can exceed 64 bits, the multitudes cannot
+        result = {name: x if x is None or name.endswith("multitude") else str(x)
+                  for name, x in fields.items()}
+        return query, report.consistent, {**result, "triples": cells}
     if args.format == "csv":
-        rows: list[list[object]] = [
-            ["field", "value"],
-            ["formula_sum", "" if report.formula_sum is None else report.formula_sum],
-            ["formula_multitude",
-             "" if report.formula_multitude is None else report.formula_multitude],
-            ["enumerated_sum", report.enumerated_sum],
-            ["enumerated_multitude", report.enumerated_multitude],
-            ["consistent", str(report.consistent).lower()],
-        ]
-        if report.triples is not None:
-            rows += [["triple", t.v, t.d, t.n, value] for t, value in report.triples]
-        return _csv(rows), code
+        rows: list[list[object]] = [["field", "value"]]
+        rows += [[name, "" if x is None else x] for name, x in fields.items()]
+        rows.append(["consistent", str(report.consistent).lower()])
+        rows += [["triple", *cell] for cell in cells or ()]
+        return query, report.consistent, rows
     if report.formula_applies:
         formula = f"sum={report.formula_sum} multitude={report.formula_multitude}"
     else:
@@ -252,64 +202,41 @@ def _cmd_sums(args: argparse.Namespace) -> tuple[str, int]:
         f"enumerated: sum={report.enumerated_sum} multitude={report.enumerated_multitude}",
         f"consistent: {'yes' if report.consistent else 'no'}",
     ]
-    if report.triples is not None:
-        lines += [f"S({t.v},{t.d},{t.n}) = {value}" for t, value in report.triples]
-    return "\n".join(lines) + "\n", code
+    return query, report.consistent, lines + (cells or [])
 
 
-# ---------------------------------------------------------------- verify
-
-
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     from .verify import GridBounds, run_suites
 
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    bounds = GridBounds(v_max=args.vmax, d_max=args.dmax, n_max=args.nmax,
-                        c_max=args.cmax, s_max=args.smax)
+    given = {flag: getattr(args, flag) for flag in _BOUNDS}
+    bounds = GridBounds(**{f"{flag[0]}_max": value for flag, value in given.items()})
     outcomes = run_suites(args.suite, bounds=bounds, jobs=args.jobs)
     ok = all(outcome.ok for outcome in outcomes)
-    code = 0 if ok else 1
-    query = {"command": "verify", "suite": args.suite, "jobs": args.jobs,
-             "bounds": {"vmax": args.vmax, "dmax": args.dmax, "nmax": args.nmax,
-                        "cmax": args.cmax, "smax": args.smax}}
+    query = {"command": "verify", "suite": args.suite, "jobs": args.jobs, "bounds": given}
 
     if args.format == "json":
-        result = {
-            "suites": [
-                {
-                    "suite": outcome.suite,
-                    "cases_run": outcome.cases_run,
-                    "failures": [
-                        {"case": case, "expected": expected, "actual": actual}
-                        for case, expected, actual in outcome.failures
-                    ],
-                }
-                for outcome in outcomes
-            ]
-        }
-        return _json_doc(query, result, ok), code
+        suites = [{"suite": o.suite, "cases_run": o.cases_run,
+                   "failures": [{"case": case, "expected": expected, "actual": actual}
+                                for case, expected, actual in o.failures]}
+                  for o in outcomes]
+        return query, ok, {"suites": suites}
     if args.format == "csv":
         rows: list[list[object]] = [["suite", "cases_run", "failures"]]
         rows += [[o.suite, o.cases_run, len(o.failures)] for o in outcomes]
-        for outcome in outcomes:
-            rows += [["failure", outcome.suite, case, expected, actual]
-                     for case, expected, actual in outcome.failures]
-        return _csv(rows), code
+        rows += [["failure", o.suite, *failure] for o in outcomes for failure in o.failures]
+        return query, ok, rows
     lines = []
-    for outcome in outcomes:
-        lines.append(f"{outcome.suite}: {outcome.cases_run} cases, "
-                     f"{len(outcome.failures)} failures")
+    for o in outcomes:
+        lines.append(f"{o.suite}: {o.cases_run} cases, {len(o.failures)} failures")
         lines += [f"  FAIL {case}: expected {expected}, got {actual}"
-                  for case, expected, actual in outcome.failures]
+                  for case, expected, actual in o.failures]
     lines.append("ok" if ok else "FAILED")
-    return "\n".join(lines) + "\n", code
+    return query, ok, lines
 
 
-# ------------------------------------------------------------- represent
-
-
-def _cmd_represent(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_represent(args: argparse.Namespace) -> Result:
     from .search import representations
 
     d_range = None
@@ -327,20 +254,12 @@ def _cmd_represent(args: argparse.Namespace) -> tuple[str, int]:
              "vmin": args.vmin, "vmax": args.vmax,
              "dmin": args.dmin, "dmax": args.dmax,
              "nmin": args.nmin, "nmax": args.nmax}
-
+    cells = _cells(args.format, hits)
     if args.format == "json":
-        result = {"hits": [{"v": t.v, "d": t.d, "n": t.n, "value": str(value)}
-                           for (t, value) in hits]}
-        return _json_doc(query, result, True), 0
+        return query, True, {"hits": cells}
     if args.format == "csv":
-        rows: list[list[object]] = [["v", "d", "n", "value"]]
-        rows += [[t.v, t.d, t.n, value] for t, value in hits]
-        return _csv(rows), 0
-    lines = [f"S({t.v},{t.d},{t.n}) = {value}" for t, value in hits]
-    return ("\n".join(lines) + "\n") if lines else "no representations in the box\n", 0
-
-
-# ------------------------------------------------------------------ main
+        return query, True, [["v", "d", "n", "value"], *cells]
+    return query, True, cells or ["no representations in the box"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,11 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run exhaustive identity sweeps")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--vmax", type=int, default=DEFAULT_BOUNDS["v_max"])
-    p.add_argument("--dmax", type=int, default=DEFAULT_BOUNDS["d_max"])
-    p.add_argument("--nmax", type=int, default=DEFAULT_BOUNDS["n_max"])
-    p.add_argument("--cmax", type=int, default=DEFAULT_BOUNDS["c_max"])
-    p.add_argument("--smax", type=int, default=DEFAULT_BOUNDS["s_max"])
+    for flag in _BOUNDS:
+        p.add_argument(f"--{flag}", type=int, default=DEFAULT_BOUNDS[f"{flag[0]}_max"])
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="sweeps run in one thread; N >= 1 is accepted for compatibility")
     p.set_defaults(func=_cmd_verify)
@@ -418,19 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text, code = args.func(args)
-    except ValueError as exc:  # includes RangeError: malformed query -> usage error
+        query, consistent, payload = args.func(args)
+        _emit(_render(args.format, query, consistent, payload), args.output)
+    except (ValueError, OSError) as exc:
+        # a malformed query (RangeError included) or an --output path that
+        # cannot be written is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        _emit(text, args.output)
-    except OSError as exc:  # e.g. --output into a missing directory
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
+    return 0 if consistent else 1
 
 
 if __name__ == "__main__":

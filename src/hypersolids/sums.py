@@ -28,7 +28,7 @@ catalogued in :data:`LEMMAS` and individually checkable via
 from __future__ import annotations
 
 import math
-from itertools import count, repeat, starmap
+from itertools import chain, count, repeat, starmap
 from math import comb
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -64,16 +64,18 @@ def _simplex_rows(s: int) -> Iterator[list[int]]:
         pascal = [0, *map(add, pascal, pascal[1:]), 0]
 
 
-def _triples(s: int) -> Pairs:
+def _triples(s: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The values on the simplex v + d + n = s and their coordinates, lexicographic."""
     by_d = list(_simplex_rows(s))[::-1]
-    cells = [(v, d) for v in range(s + 1) for d in range(s - v + 1)]
-    return tuple([(IndexTriple(v, d, s - v - d), by_d[d][v]) for v, d in cells])
+    cells = [(v, d, s - v - d) for v in range(s + 1) for d in range(s - v + 1)]
+    return [by_d[d][v] for v, d, _ in cells], cells
 
 
 def enumerate_triples(s: int) -> list[tuple[IndexTriple, int]]:
     """All (v, d, n) with v + d + n == s, lexicographic, with their values."""
     s = _check("s", s)
-    return list(_triples(s))
+    values, cells = _triples(s)
+    return list(zip(starmap(IndexTriple, cells), values))
 
 
 class SumReport(_Record):
@@ -117,55 +119,29 @@ class SumReport(_Record):
 
 
 def _report(
-    candidates: Iterable[tuple[IndexTriple, int]],
-    formula_sum: int | None,
-    formula_multitude: int | None,
-    include_triples: bool,
-) -> SumReport:
-    nonzero = [(t, value) for t, value in candidates if value]
-    return _tally(
-        sum(value for _, value in nonzero),
-        len(nonzero),
-        formula_sum,
-        formula_multitude,
-        tuple(nonzero) if include_triples else None,
-    )
-
-
-def _slice_report(
-    values: list[int],
+    rows: Iterable[list[int]],
     cells: Iterable[tuple[int, int, int]],
     formula_sum: int | None,
     formula_multitude: int | None,
     include_triples: bool,
 ) -> SumReport:
-    # values[i] belongs to the i-th coordinates in cells; only a listing
-    # turns those coordinates into IndexTriples
+    """The closed form against the enumerated cells of one query.
+
+    ``rows`` holds the cells' values in one or more lists whose concatenation
+    follows the coordinates in ``cells``.  Only a listing reads ``cells``
+    (and ``rows`` a second time) and turns coordinates into IndexTriples.
+    """
+    enum_sum = multitude = 0
+    for row in rows:
+        enum_sum += sum(row)
+        multitude += len(row) - row.count(0)
+    triples = None
     if include_triples:
-        pairs = zip(starmap(IndexTriple, cells), values)
-        return _report(pairs, formula_sum, formula_multitude, include_triples)
-    return _tally(sum(values), len(values) - values.count(0), formula_sum, formula_multitude)
-
-
-def _tally(
-    enum_sum: int,
-    multitude: int,
-    formula_sum: int | None,
-    formula_multitude: int | None,
-    triples: Pairs | None = None,
-) -> SumReport:
-    return SumReport(
-        formula_sum=formula_sum,
-        enumerated_sum=enum_sum,
-        formula_multitude=formula_multitude,
-        enumerated_multitude=multitude,
-        triples=triples,
-        consistent=(
-            formula_sum is not None
-            and formula_sum == enum_sum
-            and formula_multitude == multitude
-        ),
-    )
+        pairs = zip(starmap(IndexTriple, cells), chain.from_iterable(rows))
+        triples = tuple((t, value) for t, value in pairs if value)
+    consistent = (formula_sum is not None and formula_sum == enum_sum
+                  and formula_multitude == multitude)
+    return SumReport(formula_sum, enum_sum, formula_multitude, multitude, triples, consistent)
 
 
 def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
@@ -195,7 +171,7 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = binomial(s - 1, v) + binomial(s - 1, v + 2)
         formula_multitude = s - v
-    return _slice_report(values, cells, formula_sum, formula_multitude, include_triples)
+    return _report((values,), cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
@@ -222,7 +198,7 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = None
         formula_multitude = None
-    return _slice_report(values, cells, formula_sum, formula_multitude, include_triples)
+    return _report((values,), cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
@@ -258,7 +234,7 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = None
         formula_multitude = None
-    return _slice_report(values, cells, formula_sum, formula_multitude, include_triples)
+    return _report((values,), cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
@@ -275,12 +251,9 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
         formula_sum = None
         formula_multitude = None
     if include_triples:
-        return _report(_triples(s), formula_sum, formula_multitude, include_triples)
-    enum_sum = multitude = 0
-    for row in _simplex_rows(s):
-        enum_sum += sum(row)
-        multitude += len(row) - row.count(0)
-    return _tally(enum_sum, multitude, formula_sum, formula_multitude)
+        values, cells = _triples(s)
+        return _report((values,), cells, formula_sum, formula_multitude, include_triples)
+    return _report(_simplex_rows(s), (), formula_sum, formula_multitude, include_triples)
 
 
 class _Lemma(NamedTuple):

@@ -126,8 +126,9 @@ def _corollary_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
             for v in range(b.v_max + 1):
                 yield (f"row-compilation d={d} n={n} v={v}",
                        hypersolid(v, d, n + 1), compile_row(d, n, v))
+        triangle = build_triangle(d, b.c_max)
         for c in range(b.c_max + 1):
-            yield f"row-total d={d} c={c}", sum(build_triangle(d, c).row(c)), row_sum(d, c)
+            yield f"row-total d={d} c={c}", sum(triangle.row(c)), row_sum(d, c)
             if c >= 3:
                 yield f"row-doubling d={d} c={c}", row_sum(d, c), 2 * row_sum(d, c - 1)
                 yield (f"row-cumulative d={d} c={c}", row_sum(d, c) - (d + 1),

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import hypersolids
-from hypersolids import GridBounds, diagonal_sum
+from hypersolids import GridBounds, diagonal_sum, kernel
 from hypersolids.cli import build_parser
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -41,6 +41,24 @@ def test_eval_both_methods_agree(run_cli):
     code, out, _ = run_cli("eval", "--v", "5", "--d", "3", "--n", "7", "--method", "both")
     assert code == 0
     assert out == "closed=966\nsummation=966\n"  # C(10,4) + 3*C(10,5)
+
+
+@pytest.fixture
+def wrong_summation(monkeypatch):
+    """Make the summation route one too high, so every cross-check fails."""
+    true = kernel._by_summation
+    monkeypatch.setattr(kernel, "_by_summation", lambda v, d, n: true(v, d, n) + 1)
+
+
+@pytest.mark.parametrize("fmt,want", [
+    ("text", "closed=966\nsummation=967\nMISMATCH\n"),
+    ("csv", "v,d,n,method,value\n5,3,7,closed,966\n5,3,7,summation,967\n"),
+    ("json", '{"query": {"command": "eval", "v": 5, "d": 3, "n": 7, "method": "both"}, '
+             '"result": {"closed": "966", "summation": "967"}, "consistent": false}\n'),
+])
+def test_eval_both_methods_disagreeing_exits_one(run_cli, wrong_summation, fmt, want):
+    argv = ["eval", "--v", "5", "--d", "3", "--n", "7", "--method", "both", "--format", fmt]
+    assert run_cli(*argv) == (1, want, "")
 
 
 def test_eval_csv(run_cli):
@@ -267,6 +285,31 @@ def test_verify_single_suite_csv(run_cli):
     )
     assert code == 0
     assert out == "suite,cases_run,failures\noracle,27,0\n"
+
+
+_ORACLE_FAILURES = [("eval v=0 d=0 n=0", "0", "1"), ("eval v=0 d=0 n=1", "0", "1"),
+                    ("eval v=1 d=0 n=0", "0", "1"), ("eval v=1 d=0 n=1", "1", "2")]
+
+
+@pytest.mark.parametrize("fmt,want", [
+    ("text", "oracle: 4 cases, 4 failures\n"
+             + "".join(f"  FAIL {case}: expected {want}, got {got}\n"
+                       for case, want, got in _ORACLE_FAILURES)
+             + "FAILED\n"),
+    ("csv", "suite,cases_run,failures\noracle,4,4\n"
+            + "".join(f"failure,oracle,{case},{want},{got}\n"
+                      for case, want, got in _ORACLE_FAILURES)),
+    ("json", '{"query": {"command": "verify", "suite": "oracle", "jobs": 1, "bounds": '
+             '{"vmax": 1, "dmax": 0, "nmax": 1, "cmax": 24, "smax": 40}}, '
+             '"result": {"suites": [{"suite": "oracle", "cases_run": 4, "failures": ['
+             + ", ".join(f'{{"case": "{case}", "expected": "{want}", "actual": "{got}"}}'
+                         for case, want, got in _ORACLE_FAILURES)
+             + ']}]}, "consistent": false}\n'),
+])
+def test_verify_failures_exit_one(run_cli, wrong_summation, fmt, want):
+    argv = ["verify", "--suite", "oracle", "--vmax", "1", "--dmax", "0", "--nmax", "1",
+            "--format", fmt]
+    assert run_cli(*argv) == (1, want, "")
 
 
 def test_verify_jobs_do_not_change_output(run_cli):

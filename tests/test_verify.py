@@ -12,7 +12,8 @@ from dataclasses import fields
 
 import pytest
 
-from hypersolids import LEMMAS, GridBounds, RangeError, run_suite, run_suites, sums, verify
+from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, run_suite, run_suites, sums,
+                         verify)
 from hypersolids.verify import SUITES, _run_cases
 
 SMALL = GridBounds(v_max=3, d_max=3, n_max=4, c_max=8, s_max=10, m_max=8)
@@ -73,8 +74,8 @@ def test_a_wrong_slice_fails_its_own_case_and_the_cross_partition(monkeypatch, q
         report = honest(s, k)
         if (s, k) != (7, 2):
             return report
-        return sums._tally(report.enumerated_sum + 1, report.enumerated_multitude,
-                           report.formula_sum, report.formula_multitude)
+        return SumReport(report.formula_sum, report.enumerated_sum + 1,
+                         report.formula_multitude, report.enumerated_multitude, None, False)
 
     monkeypatch.setattr(verify, query, off_by_one)
     outcome = run_suite("theorems", bounds=SMALL)
