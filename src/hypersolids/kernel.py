@@ -12,7 +12,11 @@ Two independent evaluation routes are provided and agree everywhere:
 * ``closed`` - the closed form ``C(v + n - 2, v - 1) + d * C(v + n - 2, v)``,
   evaluated with one binomial as ``C(v + n - 2, v - 1) * (v + d(n - 1)) / v``
   (the division is exact) and with the corners of the zero-extended
-  binomial written out, so that it covers the whole domain;
+  binomial written out, so that it covers the whole domain.  That binomial
+  is ``math.comb``, except when both of its sides are large and neither is
+  under a tenth of the top (see ``_PRIME_ROUTE_SIDE``): there it is a product
+  of prime powers from :mod:`hypersolids._primes`, which needs none of the
+  big-integer divisions that make ``math.comb`` slow there;
 * ``summation`` - the literal construction: start from the one-dimensional
   progression and apply ``v - 1`` rounds of prefix summation.
 
@@ -182,6 +186,14 @@ def hyper4(d: int, n: int) -> int:
     return n * (n + 1) * (n + 2) * (4 + (n - 1) * d) // 24
 
 
+#: ``_closed`` takes C(m, k), k = v - 1, from :func:`hypersolids._primes.comb`
+#: when both k and m - k = n - 1 are at least this (it must stay >= 0, which
+#: keeps n >= 1 and so k <= m) and the smaller of them is at least m / 10.
+#: Below either line ``math.comb`` was as fast or faster, measured on Python
+#: 3.11; above ``_primes.SIEVE_CAP`` the helper itself calls ``math.comb``.
+_PRIME_ROUTE_SIDE = 700
+
+
 def _closed(v: int, d: int, n: int) -> int:
     # C(m, v - 1) + d * C(m, v) with its corners spelled out, so that a cell
     # costs one math.comb call and no Python binomial frame: m < 0
@@ -189,11 +201,19 @@ def _closed(v: int, d: int, n: int) -> int:
     # v >= 1, C(m, v) = C(m, v - 1) * (n - 1) / v, so the sum is
     # C(m, v - 1) * (v + d(n - 1)) / v, and v divides that product exactly.
     # At n = 0 (m = v - 2) math.comb gives 0 and so does the product.
+    # A big balanced binomial (see _PRIME_ROUTE_SIDE) is a product of prime
+    # powers instead, with no big division.  A cell with v at or below the
+    # threshold pays one comparison for that test, and _primes is first
+    # imported by the first big cell.
     m = v + n - 2
     if m < 0:
         return 0
     if v == 0:
         return d
+    if v > _PRIME_ROUTE_SIDE and n > _PRIME_ROUTE_SIDE and 10 * (min(v, n) - 1) >= m:
+        from hypersolids._primes import comb as prime_comb
+
+        return prime_comb(m, v - 1) * (v + d * (n - 1)) // v
     return comb(m, v - 1) * (v + d * (n - 1)) // v
 
 

@@ -364,7 +364,8 @@ _LAYERS = {f"hypersolids.{name}" for name in ("search", "sums", "triangle", "ver
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["eval", "--v", "3", "--d", "2", "--n", "5"], {*_LAYERS, "dataclasses", "json"}),
+        (["eval", "--v", "3", "--d", "2", "--n", "5"],
+         {*_LAYERS, "hypersolids._primes", "dataclasses", "json"}),
         (["triangle", "--d", "1", "--rows", "5"],
          {*_LAYERS - {"hypersolids.triangle"}, "dataclasses", "json"}),
         (["sums", "--s", "6", "--fix", "v=2"],

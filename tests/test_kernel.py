@@ -24,8 +24,10 @@ from hypersolids import (
     permutation,
     polygonal,
     pyramidal,
+    run_suite,
     v_gnomon,
 )
+from hypersolids import _primes, kernel
 from hypersolids.kernel import _closed
 
 # ------------------------------------------------------------- oracles
@@ -238,12 +240,47 @@ def test_coordinates_accept_integer_like_objects():
 
 def test_closed_form_corners_match_the_zero_extended_binomials():
     # the closed form spells out its corners (m = v + n - 2 < 0, v = 0) and
-    # folds the two binomials into one; the two-binomial form is the judge
+    # folds the two binomials into one; the two-binomial form is the judge.
+    # The large cells sit on both sides of the prime-power route's predicate
+    # (v - 1 and n - 1 both >= 700, the smaller >= m / 10): on it are
+    # (701, 701), (3000, 4000), (5000, 5000), (5000, 701) and (2001, 18001),
+    # whose smaller side is exactly m / 10; off it are (200, 300), (700, 5000),
+    # (5000, 700) and (2000, 18002), whose smaller side is just under m / 10
+    sides = ((200, 300), (3000, 4000), (5000, 5000), (701, 701), (700, 5000), (5000, 701),
+             (5000, 700), (2001, 18001), (2000, 18002))
     small = [(v, d, n) for v in range(9) for d in range(6) for n in range(9)]
-    large = [(v, d, n) for v, n in ((200, 300), (3000, 4000), (5000, 5000)) for d in (0, 7)]
+    large = [(v, d, n) for v, n in sides for d in (0, 7)]
     for v, d, n in small + large:
         want = binomial(v + n - 2, v - 1) + d * binomial(v + n - 2, v)
         assert _closed(v, d, n) == want, (v, d, n)
+
+
+@pytest.fixture
+def prime_route_everywhere(monkeypatch):
+    # with the threshold at 0 every balanced cell with v, n >= 1 takes the
+    # prime-power binomial, so the small grids below exercise it; the list
+    # records the (m, k) of each call
+    calls = []
+    real = _primes.comb
+    monkeypatch.setattr(_primes, "comb", lambda m, k: calls.append((m, k)) or real(m, k))
+    monkeypatch.setattr(kernel, "_PRIME_ROUTE_SIDE", 0)
+    return calls
+
+
+def test_prime_route_matches_summation_on_grid(prime_route_everywhere):
+    for v in range(13):
+        for d in range(11):
+            for n in range(15):
+                assert hypersolid(v, d, n) == hypersolid(v, d, n, "summation"), (v, d, n)
+    assert len(set(prime_route_everywhere)) > 60
+
+
+@pytest.mark.parametrize("suite,cases", [("oracle", 1287), ("gnomons", 3140)])
+def test_prime_route_passes_the_value_suites(prime_route_everywhere, suite, cases):
+    outcome = run_suite(suite)
+    assert outcome.ok, outcome.failures[:3]
+    assert outcome.cases_run == cases
+    assert len(prime_route_everywhere) > cases // 4
 
 
 @pytest.mark.parametrize(
