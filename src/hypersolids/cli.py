@@ -24,7 +24,9 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .kernel import COORD_LIMIT, DEFAULT_BOUNDS, METHODS, SUITES, IndexTriple, _check, hypersolid
+from .kernel import (
+    COORD_LIMIT, DEFAULT_BOUNDS, METHODS, SUITES, IndexTriple, _check, _sequence, hypersolid,
+)
 
 Result = tuple[dict, bool, object]  # (query, consistent, payload for args.format)
 _BOUNDS = ("vmax", "dmax", "nmax", "cmax", "smax")  # verify flags; GridBounds calls vmax v_max
@@ -95,12 +97,14 @@ def _cmd_table(args: argparse.Namespace) -> Result:
         raise ValueError(f"--v must be >= 2 for tables, got {args.v}")
     if args.dmax < 1 or args.nmax < 1:
         raise ValueError("--dmax and --nmax must be >= 1")
-    v, dmax, nmax, gnomons = args.v, args.dmax, args.nmax, args.gnomons
+    # every cell lies inside the box these three bound: check them before any list is built
+    v, dmax, nmax = _check("v", args.v), _check("d", args.dmax), _check("n", args.nmax)
+    gnomons = args.gnomons
     ns = list(range(1, nmax + 1))
     ds = list(range(1, dmax + 1))
-    grid = {d: [hypersolid(v, d, n) for n in ns] for d in ds}
+    grid = {d: _sequence(v, d, 1, nmax) for d in ds}
     n_gnomons = {d: hypersolid(v - 1, d, nmax) for d in ds} if gnomons else None
-    d_gnomons = [hypersolid(v, 1, n - 1) for n in ns] if gnomons else None
+    d_gnomons = _sequence(v, 1, 0, nmax - 1) if gnomons else None
     query = {"command": "table", "v": v, "dmax": dmax, "nmax": nmax, "gnomons": gnomons}
 
     if args.format == "json":
@@ -324,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmax", type=int, default=8)
     p.add_argument("--dmin", type=int, default=0)
     p.add_argument("--dmax", type=int, default=None,
-                   help="default: the target value itself")
+                   help="default: min(VALUE, 2**32 - 1)")
     p.add_argument("--nmin", type=int, default=3)
     p.add_argument("--nmax", type=int, default=None,
-                   help="default: derived from the target")
+                   help="default: 2**32 - 1; required when --vmin < 2")
     p.set_defaults(func=_cmd_represent)
 
     return parser

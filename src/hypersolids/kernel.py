@@ -20,6 +20,11 @@ Two independent evaluation routes are provided and agree everywhere:
 * ``summation`` - the literal construction: start from the one-dimensional
   progression and apply ``v - 1`` rounds of prefix summation.
 
+A whole sequence slice (fixed v and d, consecutive ranks) is the same closed
+form over one Pascal column: ``_sequence`` builds it as ``math.comb`` maps,
+with no Python call per rank, and decides the binomial route once per slice
+from v alone.  ``sequence_slice`` and the command-line ``table`` use it.
+
 All arithmetic is exact; values grow combinatorially and are returned as
 plain ``int`` with no overflow or rounding anywhere.
 """
@@ -28,9 +33,9 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
-from operator import add
+from operator import add, floordiv, mul
 from typing import Callable, Iterator, NamedTuple
 
 #: Evaluation routes accepted by :func:`hypersolid`.
@@ -203,8 +208,8 @@ def _closed(v: int, d: int, n: int) -> int:
     # At n = 0 (m = v - 2) math.comb gives 0 and so does the product.
     # A big balanced binomial (see _PRIME_ROUTE_SIDE) is a product of prime
     # powers instead, with no big division.  A cell with v at or below the
-    # threshold pays one comparison for that test, and _primes is first
-    # imported by the first big cell.
+    # threshold pays one comparison for that test (a _sequence slice pays
+    # it once), and _primes is first imported by the first big cell.
     m = v + n - 2
     if m < 0:
         return 0
@@ -215,6 +220,33 @@ def _closed(v: int, d: int, n: int) -> int:
 
         return prime_comb(m, v - 1) * (v + d * (n - 1)) // v
     return comb(m, v - 1) * (v + d * (n - 1)) // v
+
+
+def _sequence(v: int, d: int, n_from: int, n_to: int) -> list[int]:
+    """``[_closed(v, d, n) for n in range(n_from, n_to + 1)]``, one C pass per slice.
+
+    A fixed (v, d) sequence is one column of Pascal's triangle, C(m, v - 1)
+    for m = v + n - 2, times the progression v + d(n - 1), floor-divided by
+    v: three chained maps with no Python frame per cell.  The route is
+    decided here once: no cell of a slice with v <= _PRIME_ROUTE_SIDE can
+    take the prime-power binomial, and a slice above it calls ``_closed``
+    per cell so that its big balanced cells still do.
+    """
+    if v > _PRIME_ROUTE_SIDE:
+        return [_closed(v, d, n) for n in range(n_from, n_to + 1)]
+    if v == 0:  # 0 at ranks 0 and 1 (m < 0), d from rank 2 on
+        zeros = min(max(2 - n_from, 0), n_to - n_from + 1)
+        return [0] * zeros + [d] * (n_to - n_from + 1 - zeros)
+    lo = max(n_from, 2 - v)  # v = 1 has m < 0 at rank 0
+    column = map(comb, range(v + lo - 2, v + n_to - 1), repeat(v - 1))
+    if d == 0:  # the factor is v itself
+        values = list(column)
+    else:
+        factors = range(v + d * (lo - 1), v + d * (n_to - 1) + 1, d)
+        values = list(map(floordiv, map(mul, column, factors), repeat(v)))
+    if lo > n_from:
+        values.insert(0, 0)
+    return values
 
 
 def _triangle_rows(

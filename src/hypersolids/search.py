@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .kernel import COORD_LIMIT, IndexTriple, RangeError, _check, _closed, _exact_int, binomial
+from .kernel import (
+    COORD_LIMIT, IndexTriple, RangeError, _check, _closed, _exact_int, _sequence, binomial,
+)
 
 
 class RepresentationHit(NamedTuple):
@@ -28,11 +30,18 @@ class RepresentationHit(NamedTuple):
     value: int
 
 
+#: Upper ends tried by ``rank_of`` before it bisects: doubling from 2, then
+#: the last rank of the coordinate domain.
+_RANK_PROBES = (*(2**k for k in range(1, 32)), COORD_LIMIT - 1)
+
+
 def rank_of(value: int, v: int, d: int) -> int | None:
     """Rank n >= 1 with hypersolid(v, d, n) == value, or None if value is skipped.
 
     Defined only where the sequence is strictly increasing in the rank:
     v >= 2, or v == 1 with d >= 1.  ``value`` must be an int >= 1 (not bool).
+    Ranks stay inside the coordinate domain: when even rank
+    ``COORD_LIMIT - 1`` falls short of ``value``, the answer is None.
     """
     v = _check("v", v)
     d = _check("d", d)
@@ -43,9 +52,12 @@ def rank_of(value: int, v: int, d: int) -> int | None:
     value = _exact_int("value", value)
     if value < 1:
         raise RangeError(f"value must be >= 1, got {value}")
-    lo, hi = 1, 2
-    while _closed(v, d, hi) < value:
-        hi *= 2
+    for hi in _RANK_PROBES:
+        if _closed(v, d, hi) >= value:
+            break
+    else:
+        return None
+    lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
         if _closed(v, d, mid) < value:
@@ -156,11 +168,18 @@ def _first_rank_reaching(target: int, v: int, lo: int, hi: int) -> int:
 
 
 def sequence_slice(v: int, d: int, n_from: int, n_to: int) -> list[int]:
-    """Values at ranks n_from..n_to (inclusive) of one sequence."""
+    """Values at ranks n_from..n_to (inclusive) of one sequence.
+
+    The slice is one Pascal column times an arithmetic progression, built
+    by ``kernel._sequence`` as ``math.comb`` maps with no Python call per
+    rank.  That helper decides the binomial route once for the whole slice:
+    only v > ``_PRIME_ROUTE_SIDE`` evaluates rank by rank, so that big
+    balanced cells still take the prime-power binomial.
+    """
     v = _check("v", v)
     d = _check("d", d)
     n_from = _check("n_from", n_from)
     n_to = _check("n_to", n_to)
     if n_from > n_to:
         raise RangeError(f"empty rank range: [{n_from}, {n_to}]")
-    return [_closed(v, d, n) for n in range(n_from, n_to + 1)]
+    return _sequence(v, d, n_from, n_to)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypersolids import cli
+from hypersolids import cli, kernel
 
 
 @pytest.fixture
@@ -18,3 +18,17 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture
+def closed_calls(monkeypatch):
+    """Record the scalar closed-form calls made through ``kernel._closed``."""
+    calls = []
+    scalar = kernel._closed
+
+    def spy(v, d, n):
+        calls.append((v, d, n))
+        return scalar(v, d, n)
+
+    monkeypatch.setattr(kernel, "_closed", spy)
+    return calls

@@ -14,12 +14,13 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import hypersolids
-from hypersolids import GridBounds, diagonal_sum, kernel
+from hypersolids import GridBounds, diagonal_sum, hypersolid, kernel
 from hypersolids.cli import build_parser
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -128,6 +129,72 @@ def test_table_rejects_low_dimension(run_cli):
     code, _, err = run_cli("table", "--v", "1")
     assert code == 2
     assert "error" in err
+
+
+def table_reference(v: int, dmax: int, nmax: int, gnomons: bool, fmt: str) -> str:
+    """The table command's output, built here one ``hypersolid`` call per cell."""
+    ns, ds = list(range(1, nmax + 1)), list(range(1, dmax + 1))
+    grid = {d: [hypersolid(v, d, n) for n in ns] for d in ds}
+    n_step = {d: hypersolid(v - 1, d, nmax) for d in ds}
+    d_step = [hypersolid(v, 1, n - 1) for n in ns]
+    if fmt == "json":
+        rows = [{"d": d, "values": [str(x) for x in grid[d]]} for d in ds]
+        if gnomons:
+            for row in rows:
+                row["n_gnomon"] = str(n_step[row["d"]])
+        query = {"command": "table", "v": v, "dmax": dmax, "nmax": nmax, "gnomons": gnomons}
+        result = {"n": ns, "rows": rows, "d_gnomons": [str(x) for x in d_step] if gnomons else None}
+        return json.dumps({"query": query, "result": result, "consistent": True}) + "\n"
+    head = "d\\n" if fmt == "text" else "d/n"
+    rows = [[head, *ns, *(["(n)"] if gnomons else [])]]
+    rows += [[d, *grid[d], *([n_step[d]] if gnomons else [])] for d in ds]
+    if gnomons:
+        rows.append(["(d)", *d_step, ""])
+    cells = [[str(x) for x in row] for row in rows]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in cells)
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+    return "".join(" ".join(x.rjust(w) for x, w in zip(row, widths)).rstrip() + "\n"
+                   for row in cells)
+
+
+@pytest.mark.parametrize("v", range(2, 9))
+def test_table_matches_a_per_cell_reference(run_cli, tmp_path, v):
+    target = tmp_path / "table.out"
+    for dmax in (1, 7, 40):
+        for nmax in (1, 7, 40):
+            for gnomons in (False, True):
+                for fmt in ("text", "csv", "json"):
+                    argv = ["table", "--v", str(v), "--dmax", str(dmax), "--nmax", str(nmax),
+                            "--format", fmt, *(["--gnomons"] if gnomons else [])]
+                    want = table_reference(v, dmax, nmax, gnomons, fmt)
+                    assert run_cli(*argv) == (0, want, ""), argv
+                    assert run_cli(*argv, "--output", str(target)) == (0, "", ""), argv
+                    assert target.read_text() == want, argv
+
+
+@pytest.mark.parametrize("flag,name", [("--dmax", "d"), ("--nmax", "n"), ("--v", "v")])
+def test_table_rejects_corners_outside_the_domain_before_building(run_cli, flag, name):
+    # the check runs before any list is built, so this neither allocates 2**32
+    # slots nor evaluates a cell
+    argv = {"--v": "3", "--dmax": "2", "--nmax": "2"} | {flag: str(2**32)}
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("table", *[x for pair in argv.items() for x in pair])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be in [0, 2**32), got {2**32}\n"
+    assert peak < 1 << 20
+
+
+def test_table_builds_its_rows_with_no_per_cell_call(run_cli, closed_calls):
+    code, out, _ = run_cli("table", "--v", "3", "--dmax", "10", "--nmax", "10",
+                           "--gnomons", "--format", "csv")
+    assert (code, out) == (0, (GOLDEN_DIR / "table_v3.csv").read_text())
+    # the only scalar cells are the rank-step column, one per difference
+    assert closed_calls == [(2, d, 10) for d in range(1, 11)]
 
 
 # -------------------------------------------------------------- triangle

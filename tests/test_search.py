@@ -15,13 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersolids import (
+    COORD_LIMIT,
     IndexTriple,
     RangeError,
+    binomial,
     hypersolid,
     rank_of,
     representations,
     sequence_slice,
 )
+from hypersolids import kernel
+from hypersolids.kernel import _PRIME_ROUTE_SIDE
 
 
 def naive_value(v: int, d: int, n: int) -> int:
@@ -103,6 +107,16 @@ def test_rank_of_preconditions():
         rank_of(10, 0, 3)
     with pytest.raises(RangeError):
         rank_of(0, 2, 1)
+
+
+@pytest.mark.parametrize("v,d", [(1, 1), (2, 1), (3, 5)])
+def test_rank_of_stays_inside_the_coordinate_domain(v, d):
+    top = COORD_LIMIT - 1
+    last = binomial(v + top - 2, v - 1) + d * binomial(v + top - 2, v)  # S(v, d, 2**32 - 1)
+    assert rank_of(last, v, d) == top
+    # the next integer would need a rank outside the domain
+    assert rank_of(last + 1, v, d) is None
+    assert rank_of(2**40 * last, v, d) is None
 
 
 @settings(max_examples=60)
@@ -277,3 +291,55 @@ def test_sequence_slice():
     assert sequence_slice(4, 2, 7, 7) == [hypersolid(4, 2, 7)]
     with pytest.raises(RangeError):
         sequence_slice(2, 1, 5, 4)
+
+
+def zero_extended(v: int, d: int, n: int) -> int:
+    """The two-binomial closed form, both binomials extended by zero."""
+    return binomial(v + n - 2, v - 1) + d * binomial(v + n - 2, v)
+
+
+def test_sequence_slices_match_the_two_binomial_form():
+    for v in range(10):
+        for d in (0, 1, 7):
+            for n_from in range(4):
+                for length in range(1, 41):
+                    n_to = n_from + length - 1
+                    want = [zero_extended(v, d, n) for n in range(n_from, n_to + 1)]
+                    assert sequence_slice(v, d, n_from, n_to) == want, (v, d, n_from, n_to)
+
+
+def test_sequence_slices_match_the_summation_route():
+    for v in range(10):
+        for d in (0, 1, 7):
+            want = [kernel._by_summation(v, d, n) for n in range(45)]
+            for n_from in range(4):
+                assert sequence_slice(v, d, n_from, 44) == want[n_from:]
+
+
+@pytest.mark.parametrize("v", [_PRIME_ROUTE_SIDE, _PRIME_ROUTE_SIDE + 1])
+def test_sequence_slices_across_the_prime_route_boundary(v):
+    # at v = 701 the ranks past 700 are big balanced cells; the judge is math.comb
+    for d in (0, 3):
+        want = [math.comb(v + n - 2, v - 1) + d * math.comb(v + n - 2, v) for n in range(699, 704)]
+        assert sequence_slice(v, d, 699, 703) == want
+
+
+def test_sequence_slice_reaches_the_last_rank_of_the_domain():
+    top = COORD_LIMIT - 1
+    for v, d in [(0, 4), (1, 3), (2, 1), (5, 7)]:
+        want = [zero_extended(v, d, n) for n in range(top - 3, top + 1)]
+        assert sequence_slice(v, d, top - 3, top) == want
+    with pytest.raises(RangeError):
+        sequence_slice(2, 1, top - 3, top + 1)
+
+
+def test_a_slice_decides_the_route_once(closed_calls):
+    # no cell of a slice at or below the threshold can take the prime route,
+    # so the slice is built with no per-rank call
+    for v in (0, 1, 2, 8, _PRIME_ROUTE_SIDE):
+        sequence_slice(v, 3, 0, 50)
+    assert closed_calls == []
+    # above it each rank is a scalar call, so big balanced cells keep their route
+    v = _PRIME_ROUTE_SIDE + 1
+    sequence_slice(v, 3, 699, 703)
+    assert closed_calls == [(v, 3, n) for n in range(699, 704)]
