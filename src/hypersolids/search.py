@@ -1,19 +1,21 @@
 """Inverse lookups: which coordinates produce a given value.
 
-``rank_of`` inverts one sequence (fixed dimension and difference) by binary
-search, relying on strict monotonicity in the rank.
+``rank_of`` inverts one sequence (fixed dimension and difference) by the one
+rank search here, ``_least_rank``: fixed probe ranks, then bisection below
+the first that reaches the value.
 
 ``representations`` finds every coordinate triple in a box whose value
 equals a target.  For a fixed dimension v and rank n the value is affine in
 the difference, ``base(n) + d * slope(n)`` with base(n) = C(v+n-2, v-1) and
 slope(n) = C(v+n-2, v), so each (v, n) cell is decided by one exact
 division rather than a scan over d.  For v >= 2 neither base nor slope ever
-decreases in n, so the rank walk stops at the first n where even the
-smallest allowed d >= 1 overshoots: O(t^(1/2)) ranks at v = 2 and O(t^(1/v))
-in general.  Past that rank only a d = 0 hit (base(n) == target) is still
-possible, and base is strictly increasing there, so one binary search finds
-it.  By default the box is clipped to the coordinate domain: ranks and
-differences below ``COORD_LIMIT``.
+decreases in n, so the rank walk ends at the first n where even the
+smallest allowed d >= 1 overshoots, which the rank search finds before the
+walk starts: O(t^(1/2)) ranks at v = 2 and O(t^(1/v)) in general.  From
+there only a d = 0 hit (base(n) == target) is possible, and base is strictly
+increasing, so the same search finds its one candidate rank.  By default
+the box is clipped to the coordinate domain: ranks and differences below
+``COORD_LIMIT``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class RepresentationHit(NamedTuple):
     value: int
 
 
-#: Upper ends tried by ``rank_of`` before it bisects: doubling from 2, then
+#: Upper ends tried by ``_least_rank`` before it bisects: doubling from 2, then
 #: the last rank of the coordinate domain.
 _RANK_PROBES = (*(2**k for k in range(1, 32)), COORD_LIMIT - 1)
 
@@ -52,11 +54,20 @@ def rank_of(value: int, v: int, d: int) -> int | None:
     value = _exact_int("value", value)
     if value < 1:
         raise RangeError(f"value must be >= 1, got {value}")
+    n = _least_rank(v, d, value)
+    return n if n < COORD_LIMIT and _closed(v, d, n) == value else None
+
+
+def _least_rank(v: int, d: int, value: int) -> int:
+    """Least rank n >= 1 with S(v, d, n) >= value, or COORD_LIMIT if none.
+
+    Needs v >= 1, where S(v, d, n) never decreases from rank 1 on.
+    """
     for hi in _RANK_PROBES:
         if _closed(v, d, hi) >= value:
             break
     else:
-        return None
+        return COORD_LIMIT
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -64,7 +75,7 @@ def rank_of(value: int, v: int, d: int) -> int | None:
             lo = mid + 1
         else:
             hi = mid
-    return lo if _closed(v, d, lo) == value else None
+    return lo
 
 
 def representations(
@@ -85,8 +96,8 @@ def representations(
 
     For v >= 2 the ranks are walked only while ``base + max(d_lo, 1) * slope``
     still fits under the target, where d_lo is the low end of the
-    difference range; any later rank can only hit at d = 0, and a binary
-    search over the remaining ranks finds the single rank with
+    difference range; any later rank can only hit at d = 0.  The rank search
+    behind ``rank_of`` finds the end of the walk and the single rank with
     ``base == target``, if any.  So the work is about sqrt(2 * target) ranks
     at v = 2 and fewer in higher dimensions, not one per unit of the target.
 
@@ -121,12 +132,18 @@ def representations(
 
     hits: list[RepresentationHit] = []
     for v in range(v_lo, v_hi + 1):
-        n = n_min
-        while n <= n_max:
+        stop = n_max + 1
+        if v >= 2:
+            # base and slope never shrink: from the first rank where even
+            # base + d_step * slope overshoots, only a d = 0 hit is left
+            stop = min(max(_least_rank(v, d_step, target + 1), n_min), stop)
+            if d_lo == 0:
+                n = _least_rank(v, 0, target)
+                if stop <= n <= n_max and _closed(v, 0, n) == target:
+                    hits.append(RepresentationHit(IndexTriple(v, 0, n), target))
+        for n in range(n_min, stop):
             base = binomial(v + n - 2, v - 1)  # value at d = 0
             slope = binomial(v + n - 2, v)  # increment per unit of d
-            if v >= 2 and base + d_step * slope > target:
-                break  # base and slope never shrink: no d >= 1 hit from here on
             if slope == 0:
                 # rank 0 or 1: value is constant in d
                 if base == target:
@@ -138,33 +155,8 @@ def representations(
                 d, leftover = divmod(target - base, slope)
                 if leftover == 0 and d_lo <= d <= d_hi:
                     hits.append(RepresentationHit(IndexTriple(v, d, n), target))
-            n += 1
-        if v >= 2 and d_lo == 0 and n <= n_max:
-            n = _first_rank_reaching(target, v, n, n_max)
-            if n <= n_max and binomial(v + n - 2, v - 1) == target:
-                hits.append(RepresentationHit(IndexTriple(v, 0, n), target))
     hits.sort(key=lambda hit: hit.triple)
     return hits
-
-
-def _first_rank_reaching(target: int, v: int, lo: int, hi: int) -> int:
-    """Least n in [lo, hi] with C(v+n-2, v-1) >= target, or hi + 1 if none.
-
-    Needs v >= 2, where that d = 0 value never decreases in n.  The search
-    window grows by doubling from ``lo``, so the probes stay near the answer
-    instead of starting from the top of the rank range.
-    """
-    left, step = lo, 1
-    while lo <= hi and binomial(v + lo - 2, v - 1) < target:
-        left, lo, step = lo + 1, lo + step, 2 * step
-    right = min(lo, hi + 1)  # the answer lies in [left, right]
-    while left < right:
-        mid = (left + right) // 2
-        if binomial(v + mid - 2, v - 1) < target:
-            left = mid + 1
-        else:
-            right = mid
-    return left
 
 
 def sequence_slice(v: int, d: int, n_from: int, n_to: int) -> list[int]:

@@ -14,11 +14,13 @@ difference pinned they share m and read one row, with the dimension pinned
 m runs down a column, and with the rank pinned m and v climb a diagonal.  A
 slice query computes its O(s) values in one pass of ``math.comb`` maps over
 ranges, with the v = 0 and m < 0 corners written out, and calls no Python
-function per cell.  The whole simplex is read row by row from Pascal's
-triangle (:func:`_simplex_rows`), one addition per cell: :func:`sum_fixed_s`
-sums those rows, so its cost depends only on s and not on what was asked
-before.  Coordinate triples are built only when the cells are listed
-(:func:`enumerate_triples`, ``include_triples=True``).
+function per cell.  The whole simplex is read row by row from the d = 0
+triangle, Pascal's, built by ``kernel._triangle_rows`` like every triangle,
+and the difference gnomon lifts each row to its difference
+(:func:`_simplex_rows`): :func:`sum_fixed_s` sums those rows, so its cost
+depends only on s and not on what was asked before.  Coordinate triples are
+built only when the cells are listed (:func:`enumerate_triples`,
+``include_triples=True``).
 
 The binomial and permutation identities the closed forms rest on are
 catalogued in :data:`LEMMAS` and individually checkable via
@@ -31,37 +33,35 @@ import math
 from itertools import chain, count, repeat, starmap
 from math import comb
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .kernel import IndexTriple, RangeError, _check, _Record, _set_field, binomial, permutation
+from .kernel import (
+    IndexTriple, RangeError, _check, _exact_int, _Record, _set_field, _triangle_rows, binomial,
+    permutation,
+)
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
 
 
-def _pascal_values(pascal: list[int], d: int) -> list[int]:
-    """C(m, v - 1) + d * C(m, v) for v = 0..m + 2, given pascal[v] = C(m, v - 1).
+def _with_difference(row: Sequence[int], d: int) -> list[int]:
+    """Row c of the difference-d triangle from row c of the d = 0 one.
 
-    ``pascal`` is row m of Pascal's triangle with one zero in front and two
-    behind, so the v = 0 value comes out as d and the last two as zero.
+    ``row[v] = S(v, 0, c - v)``.  The result holds S(v, d, c - v) for
+    v = 0..c by the difference gnomon
+    S(v, d, n) = S(v, 0, n) + d * S(v + 1, 0, n - 1), then the rank-0 zero.
     """
-    return list(map(add, pascal, map(d.__mul__, pascal[1:])))
+    return [*map(add, row, map(d.__mul__, row[1:])), 0]
 
 
 def _simplex_rows(s: int) -> Iterator[list[int]]:
     """The values on the simplex v + d + n = s, one list per difference.
 
     The list for difference d holds S(v, d, s - d - v) for v = 0..s - d;
-    the lists come for d = s, s - 1, ..., 0.  The cells of one list share
-    m = v + n - 2 = s - d - 2, so their values C(m, v - 1) + d * C(m, v)
-    are read from row m of Pascal's triangle, and each row is the
-    adjacent-pair sums of the one before.  For m < 0 every value is zero.
+    the lists come for d = s, s - 1, ..., 0.  They are the rows c = s - d of
+    the d = 0 triangle, which is Pascal's, each lifted to its difference by
+    :func:`_with_difference`.
     """
-    for d in range(s, max(s - 2, -1), -1):
-        yield [0] * (s - d + 1)
-    pascal = [0, 1, 0, 0]  # pascal[v] = C(m, v - 1) for v = 0..m + 3, here m = 0
-    for d in range(s - 2, -1, -1):
-        yield _pascal_values(pascal, d)
-        pascal = [0, *map(add, pascal, pascal[1:]), 0]
+    return map(_with_difference, _triangle_rows(0, s), range(s, -1, -1))
 
 
 def _triples(s: int) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -144,16 +144,22 @@ def _report(
     return SumReport(formula_sum, enum_sum, formula_multitude, multitude, triples, consistent)
 
 
+def _pinned(s: int, name: str, k: int) -> tuple[int, int]:
+    """The total s and the coordinate ``name`` pinned to k, checked, with k <= s."""
+    s = _check("s", s)
+    k = _check(name, k)
+    if k > s:
+        raise RangeError(f"fixed coordinate must not exceed the total: {name}={k} > s={s}")
+    return s, k
+
+
 def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     """Sum over all triples with total s and dimension pinned to v.
 
     Closed form: C(s-1, 2) for v = 0, else C(s-1, v) + C(s-1, v+2); the
     nonzero count is s - 2 (floored at 0) for v = 0, else s - v.
     """
-    s = _check("s", s)
-    v = _check("v", v)
-    if v > s:
-        raise RangeError(f"fixed coordinate must not exceed the total: v={v} > s={s}")
+    s, v = _pinned(s, "v", v)
     # A column of Pascal's triangle: m = s - d - 2 runs down as d runs up.
     if v == 0:
         values = [*range(s - 1), 0, 0][: s + 1]  # d while n >= 2, then n = 1, 0
@@ -181,16 +187,13 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     nonzero count s - 1 when d = 0 and s - d otherwise.  For d in
     {s - 1, s} every candidate value is zero and no closed form applies.
     """
-    s = _check("s", s)
-    d = _check("d", d)
-    if d > s:
-        raise RangeError(f"fixed coordinate must not exceed the total: d={d} > s={s}")
+    s, d = _pinned(s, "d", d)
     # A row of Pascal's triangle: every cell has m = s - d - 2.
     m = s - d - 2
     if m < 0:
         values = [0] * (s - d + 1)
     else:
-        values = _pascal_values([0, *map(comb, repeat(m), range(m + 1)), 0, 0], d)
+        values = _with_difference([0, *map(comb, repeat(m), range(m + 1)), 0], d)
     cells = zip(range(s - d + 1), repeat(d), range(s - d, -1, -1))
     if d <= s - 2:
         formula_sum = (d + 1) * 2 ** (s - d - 2)
@@ -209,10 +212,7 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     2 <= n < s.  At n = s the single candidate is zero and no closed form
     applies.
     """
-    s = _check("s", s)
-    n = _check("n", n)
-    if n > s:
-        raise RangeError(f"fixed coordinate must not exceed the total: n={n} > s={s}")
+    s, n = _pinned(s, "n", n)
     # A diagonal of Pascal's triangle: m = v + n - 2 climbs with v.  The
     # v = 0 cell holds d when m >= 0; at n = 0 the v = 1 cell has m < 0 too.
     lead = [s - n] if n >= 2 else [0] * min(2 - n, s - n + 1)
@@ -335,8 +335,9 @@ def lemma_check(tag: str, params: Mapping[str, int]) -> bool:
     """Evaluate both sides of one catalogued identity exactly.
 
     ``params`` maps the identity's bound variables (see ``LEMMAS[tag].params``)
-    to values.  Returns True iff the two sides agree; parameters outside the
-    identity's stated domain raise :class:`RangeError`.
+    to integer values.  Returns True iff the two sides agree; a parameter
+    that is not an exact integer (bool and float included) or lies outside
+    the identity's stated domain raises :class:`RangeError`.
     """
     try:
         lemma = LEMMAS[tag]
@@ -349,7 +350,7 @@ def lemma_check(tag: str, params: Mapping[str, int]) -> bool:
             f"lemma {tag!r} takes parameters {lemma.params}; "
             f"missing {missing}, unexpected {extra}"
         )
-    args = [params[p] for p in lemma.params]
+    args = [_exact_int(p, params[p]) for p in lemma.params]
     if not lemma.domain(*args):
         raise RangeError(f"parameters out of domain for lemma {tag!r}: {dict(params)}")
     return lemma.lhs(*args) == lemma.rhs(*args)

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .kernel import RangeError, _check, _Record, _set_field, _triangle_rows, binomial, hypersolid
+from .kernel import (
+    RangeError, _check, _exact_int, _Record, _set_field, _triangle_rows, binomial, hypersolid,
+)
 
 
 class Triangle(_Record):
@@ -51,14 +53,16 @@ class Triangle(_Record):
         _set_field(self, "rows", rows)
 
     def row(self, c: int) -> tuple[int, ...]:
+        c = _exact_int("row index", c)
         if not 0 <= c <= self.c_max:
             raise RangeError(f"row index must be in [0, {self.c_max}], got {c}")
         return self.rows[c]
 
     def entry(self, c: int, v: int) -> int:
         row = self.row(c)
-        if not 0 <= v <= c:
-            raise RangeError(f"position must be in [0, {c}], got {v}")
+        v = _exact_int("position", v)
+        if not 0 <= v < len(row):
+            raise RangeError(f"position must be in [0, {len(row) - 1}], got {v}")
         return row[v]
 
 

@@ -267,6 +267,33 @@ def test_d0_hits_far_past_the_walk_are_found():
     assert (3, 0, 50_000) not in capped
 
 
+def first_rank_past(v: int, d: int, target: int) -> int:
+    """Least rank n >= 0 with naive_value(v, d, n) > target, by a plain scan."""
+    n = 0
+    while naive_value(v, d, n) <= target:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("v", range(2, 7))
+def test_d0_hits_next_to_the_end_of_the_walk(v):
+    # plant S(v, 0, n) and set n_min and n_max to n - 1, n and n + 1: n_min
+    # moves the end of the d >= 1 walk to just before, at or just after the
+    # planted rank, and n_max cuts the box on either side of it
+    offsets = set()
+    for n in range(1, 25):
+        target = naive_value(v, 0, n)
+        walk_end = first_rank_past(v, 1, target)
+        for n_min in (n - 1, n, n + 1):
+            for n_max in (n - 1, n, n + 1):
+                offsets.add(n - min(max(walk_end, n_min), n_max + 1))
+                hits = representations(target, (v, v), (0, 40), n_min, n_max)
+                got = [tuple(h.triple) for h in hits]
+                assert got == naive_hits(target, v, v, 0, 40, n_min, n_max), (n, n_min, n_max)
+                assert got.count((v, 0, n)) == (n_min <= n <= n_max)
+    assert {-1, 0, 1} <= offsets
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     v=st.integers(min_value=2, max_value=6),

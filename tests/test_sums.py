@@ -128,6 +128,25 @@ def test_fixed_rank_out_of_simplex():
         sum_fixed_sv(5, 6)
 
 
+@pytest.mark.parametrize(
+    "query, name", [(sum_fixed_sv, "v"), (sum_fixed_sd, "d"), (sum_fixed_sn, "n")]
+)
+def test_pinned_slices_check_their_arguments_alike(query, name):
+    with pytest.raises(RangeError) as err:
+        query(5, 6)
+    assert str(err.value) == f"fixed coordinate must not exceed the total: {name}=6 > s=5"
+    with pytest.raises(RangeError) as err:
+        query(5, -1)
+    assert str(err.value) == f"{name} must be in [0, 2**32), got -1"
+    with pytest.raises(RangeError) as err:
+        query(2**32, 0)
+    assert str(err.value) == "s must be in [0, 2**32), got 4294967296"
+    with pytest.raises(RangeError) as err:
+        query(5, True)
+    assert str(err.value) == f"{name} must be an integer, got True"
+    assert query(5, 5).enumerated_sum == 0
+
+
 # -------------------------------------------- fixed difference (s with d)
 
 
@@ -456,3 +475,28 @@ def test_lemma_check_validation():
         lemma_check("hockey_stick", {"M": 2, "m": 5})  # needs m <= M
     with pytest.raises(RangeError):
         lemma_check("sum_r", {"n": -1})
+
+
+class Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, False, None])
+def test_lemma_parameters_must_be_exact_integers(bad):
+    with pytest.raises(RangeError) as err:
+        lemma_check("sum_r", {"n": bad})
+    assert str(err.value) == f"n must be an integer, got {bad!r}"
+    with pytest.raises(RangeError) as err:
+        lemma_check("hockey_stick", {"M": 4, "m": bad})
+    assert str(err.value) == f"m must be an integer, got {bad!r}"
+
+
+def test_lemma_parameters_take_integer_like_objects():
+    assert lemma_check("sum_r", {"n": Index(5)})
+    assert lemma_check("hockey_stick", {"M": Index(6), "m": Index(2)})
+    with pytest.raises(RangeError):
+        lemma_check("sum_r", {"n": Index(-1)})

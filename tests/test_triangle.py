@@ -71,6 +71,37 @@ def test_entry_bounds():
         tri.entry(3, 4)
 
 
+class Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("bad", [2.0, True, False, "2", None])
+def test_row_and_entry_indices_must_be_exact_integers(bad):
+    tri = build_triangle(1, 5)
+    for call, name in ((lambda: tri.row(bad), "row index"),
+                       (lambda: tri.entry(bad, 0), "row index"),
+                       (lambda: tri.entry(3, bad), "position")):
+        with pytest.raises(RangeError) as err:
+            call()
+        assert str(err.value) == f"{name} must be an integer, got {bad!r}"
+
+
+def test_row_and_entry_take_integer_like_objects():
+    tri = build_triangle(1, 5)
+    assert tri.row(Index(4)) == tri.row(4) == (1, 3, 3, 1, 0)
+    assert tri.entry(Index(4), Index(1)) == 3
+    with pytest.raises(RangeError) as err:
+        tri.entry(Index(3), Index(4))
+    assert str(err.value) == "position must be in [0, 3], got 4"
+    with pytest.raises(RangeError) as err:
+        tri.row(Index(6))
+    assert str(err.value) == "row index must be in [0, 5], got 6"
+
+
 def test_triangle_is_an_immutable_value():
     rows = ((0,), (0, 0), (1, 1, 0))
     tri = Triangle(1, 2, rows)
