@@ -11,7 +11,9 @@ malformed usage or an ``--output`` path that cannot be written.
 CSV output is deterministic: comma-separated fields, every row newline
 terminated, no quoting (fields are decimal digits or fixed labels).  JSON
 output is one object with ``query``, ``result`` and ``consistent`` fields;
-values that can exceed 64 bits are rendered as decimal strings.
+values that can exceed 64 bits are rendered as decimal strings.  Every
+printed int, whatever its size, goes through :func:`_digits`, so a value
+past the interpreter's int-to-str digit limit prints in full.
 
 Start-up imports only the kernel; each command imports the modules it
 uses, so a call pays only for its own command.
@@ -32,13 +34,27 @@ Result = tuple[dict, bool, object]  # (query, consistent, payload for args.forma
 _BOUNDS = ("vmax", "dmax", "nmax", "cmax", "smax")  # verify flags; GridBounds calls vmax v_max
 
 
+def _digits(value: object) -> str:
+    """``str(value)``, also for an int past the interpreter's int-to-str digit limit.
+
+    ``decimal.Decimal(int)`` is exact and not subject to that limit, so no
+    process-wide setting is changed.
+    """
+    try:
+        return str(value)
+    except ValueError:  # more than sys.get_int_max_str_digits() digits
+        from decimal import Decimal
+
+        return str(Decimal(value))
+
+
 def _render(fmt: str, query: dict, consistent: bool, payload: object) -> str:
     if fmt == "json":
         import json
 
         return json.dumps({"query": query, "result": payload, "consistent": consistent}) + "\n"
     if fmt == "csv":
-        return "".join(",".join(map(str, row)) + "\n" for row in payload)
+        return "".join(",".join(map(_digits, row)) + "\n" for row in payload)
     return "".join(line + "\n" for line in payload)
 
 
@@ -71,10 +87,10 @@ def _emit(text: str, output: str | None) -> None:
 def _cells(fmt: str, pairs: Iterable[tuple[IndexTriple, int]]) -> list:
     """Listed (coordinates, value) pairs as JSON objects, CSV fields or text lines."""
     if fmt == "json":
-        return [{"v": t.v, "d": t.d, "n": t.n, "value": str(value)} for t, value in pairs]
+        return [{"v": t.v, "d": t.d, "n": t.n, "value": _digits(value)} for t, value in pairs]
     if fmt == "csv":
         return [[t.v, t.d, t.n, value] for t, value in pairs]
-    return [f"S({t.v},{t.d},{t.n}) = {value}" for t, value in pairs]
+    return [f"S({t.v},{t.d},{t.n}) = {_digits(value)}" for t, value in pairs]
 
 
 def _cmd_eval(args: argparse.Namespace) -> Result:
@@ -84,11 +100,11 @@ def _cmd_eval(args: argparse.Namespace) -> Result:
     values = {m: hypersolid(args.v, args.d, args.n, m) for m in methods}
     consistent = len(set(values.values())) == 1
     if args.format == "json":
-        return query, consistent, {m if both else "value": str(x) for m, x in values.items()}
+        return query, consistent, {m if both else "value": _digits(x) for m, x in values.items()}
     if args.format == "csv":
         rows = [[args.v, args.d, args.n, m, x] for m, x in values.items()]
         return query, consistent, [["v", "d", "n", "method", "value"], *rows]
-    lines = [f"{m}={x}" if both else str(x) for m, x in values.items()]
+    lines = [f"{m}={_digits(x)}" if both else _digits(x) for m, x in values.items()]
     return query, consistent, lines if consistent else [*lines, "MISMATCH"]
 
 
@@ -108,9 +124,9 @@ def _cmd_table(args: argparse.Namespace) -> Result:
     query = {"command": "table", "v": v, "dmax": dmax, "nmax": nmax, "gnomons": gnomons}
 
     if args.format == "json":
-        rows = [{"d": d, "values": [str(x) for x in grid[d]]}
-                | ({"n_gnomon": str(n_gnomons[d])} if gnomons else {}) for d in ds]
-        d_row = [str(x) for x in d_gnomons] if gnomons else None
+        rows = [{"d": d, "values": [_digits(x) for x in grid[d]]}
+                | ({"n_gnomon": _digits(n_gnomons[d])} if gnomons else {}) for d in ds]
+        d_row = [_digits(x) for x in d_gnomons] if gnomons else None
         return query, True, {"n": ns, "rows": rows, "d_gnomons": d_row}
     rows = [["d/n", *ns] + (["(n)"] if gnomons else [])]
     rows += [[d, *grid[d]] + ([n_gnomons[d]] if gnomons else []) for d in ds]
@@ -120,7 +136,7 @@ def _cmd_table(args: argparse.Namespace) -> Result:
         return query, True, rows
     # text: the same cells, right-aligned in columns
     rows[0][0] = "d\\n"
-    cells = [[str(x) for x in row] for row in rows]
+    cells = [[_digits(x) for x in row] for row in rows]
     widths = [max(map(len, column)) for column in zip(*cells)]
     return query, True, [" ".join(map(str.rjust, row, widths)).rstrip() for row in cells]
 
@@ -137,10 +153,10 @@ def _cmd_triangle(args: argparse.Namespace) -> Result:
 
     if args.format == "json":
         result = {
-            "rows": [[str(x) for x in row] for row in tri.rows],
-            "row_sums": [str(x) for x in sums],
+            "rows": [[_digits(x) for x in row] for row in tri.rows],
+            "row_sums": [_digits(x) for x in sums],
             "diagonal_sums": (
-                {"m": args.diagonals, "first_index": 2, "values": [str(x) for x in diag]}
+                {"m": args.diagonals, "first_index": 2, "values": [_digits(x) for x in diag]}
                 if diag is not None
                 else None
             ),
@@ -151,9 +167,10 @@ def _cmd_triangle(args: argparse.Namespace) -> Result:
         if diag is not None:
             rows += [["diagonal", k + 2, value] for k, value in enumerate(diag)]
         return query, True, rows
-    lines = [" ".join(str(x) for x in row) + f" | {total}" for row, total in zip(tri.rows, sums)]
+    lines = [" ".join(map(_digits, row)) + f" | {_digits(total)}"
+             for row, total in zip(tri.rows, sums)]
     if diag is not None:
-        lines.append(f"diagonals m={args.diagonals}: " + " ".join(str(x) for x in diag))
+        lines.append(f"diagonals m={args.diagonals}: " + " ".join(map(_digits, diag)))
     return query, True, lines
 
 
@@ -188,7 +205,7 @@ def _cmd_sums(args: argparse.Namespace) -> Result:
 
     if args.format == "json":
         # the sums can exceed 64 bits, the multitudes cannot
-        result = {name: x if x is None or name.endswith("multitude") else str(x)
+        result = {name: x if x is None or name.endswith("multitude") else _digits(x)
                   for name, x in fields.items()}
         return query, report.consistent, {**result, "triples": cells}
     if args.format == "csv":
@@ -198,12 +215,12 @@ def _cmd_sums(args: argparse.Namespace) -> Result:
         rows += [["triple", *cell] for cell in cells or ()]
         return query, report.consistent, rows
     if report.formula_applies:
-        formula = f"sum={report.formula_sum} multitude={report.formula_multitude}"
+        formula = f"sum={_digits(report.formula_sum)} multitude={report.formula_multitude}"
     else:
         formula = "none (no closed form at this corner)"
     lines = [
         f"formula:    {formula}",
-        f"enumerated: sum={report.enumerated_sum} multitude={report.enumerated_multitude}",
+        f"enumerated: sum={_digits(report.enumerated_sum)} multitude={report.enumerated_multitude}",
         f"consistent: {'yes' if report.consistent else 'no'}",
     ]
     return query, report.consistent, lines + (cells or [])
@@ -254,7 +271,7 @@ def _cmd_represent(args: argparse.Namespace) -> Result:
         n_min=args.nmin,
         n_max=args.nmax,
     )
-    query = {"command": "represent", "value": str(args.value),
+    query = {"command": "represent", "value": _digits(args.value),
              "vmin": args.vmin, "vmax": args.vmax,
              "dmin": args.dmin, "dmax": args.dmax,
              "nmin": args.nmin, "nmax": args.nmax}

@@ -76,19 +76,29 @@ _set_field = object.__setattr__
 
 
 class _Record:
-    """Base of the immutable result records (``Triangle``, ``SumReport``).
+    """Base of the four immutable records: ``Triangle``, ``SumReport``,
+    ``GridBounds`` and ``VerifyOutcome``.
 
     A subclass names its fields in ``__slots__`` and sets each one in its
-    own ``__init__`` with ``_set_field``.  Records compare equal
-    only to records of the same class with equal fields, hash by their
-    fields, print like a dataclass, pickle and copy, and refuse assignment
-    and deletion with ``AttributeError``.
+    own ``__init__`` with ``_set_field``; a subclass of a record keeps the
+    fields it inherits and adds the slots it declares.  Records compare equal
+    only to records of the same class with equal fields, hash as the tuple
+    of their fields, print as ``Name(field=value, ...)``, pickle and copy,
+    and refuse assignment and deletion with ``AttributeError``.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # collected once per class: ``__slots__`` holds only the names a class
+        # declares itself, so ``__slots__ = ()`` in a subclass would hide them
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields += (own,) if isinstance(own, str) else tuple(own)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -99,7 +109,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:

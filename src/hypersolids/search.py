@@ -13,9 +13,11 @@ decreases in n, so the rank walk ends at the first n where even the
 smallest allowed d >= 1 overshoots, which the rank search finds before the
 walk starts: O(t^(1/2)) ranks at v = 2 and O(t^(1/v)) in general.  From
 there only a d = 0 hit (base(n) == target) is possible, and base is strictly
-increasing, so the same search finds its one candidate rank.  By default
-the box is clipped to the coordinate domain: ranks and differences below
-``COORD_LIMIT``.
+increasing, so the same search finds its one candidate rank.  The
+dimension loop ends at the first v where S(v, d_lo, min(max(n_min, 2), 3)),
+a lower bound on every cell of rank >= 2 in the box, exceeds the target.
+By default the box is clipped to the coordinate domain: ranks and
+differences below ``COORD_LIMIT``.
 """
 
 from __future__ import annotations
@@ -104,6 +106,16 @@ def representations(
     For v <= 1 the d = 0 value stops growing with the rank, so those
     dimensions admit arbitrarily large ranks and require an explicit
     ``n_max``; their ranks are walked one by one up to it.
+
+    The dimension loop stops at the first v where S(v, d_lo, n_low)
+    exceeds the target, with n_low = min(max(n_min, 2), 3): S never
+    decreases in v, d or n from rank 1 on, ranks 0 and 1 hold only 0 and
+    1, and every other rank of the box is at least n_low.  Rank 3 caps the
+    test so that it costs one small binomial however large n_min is.  So
+    a wide dimension range costs only the dimensions that can still hit:
+    about sqrt(2 * target) of them at the default ``n_min`` of 3.  Only a
+    target of 1 with rank 1 in the box walks every dimension, and it has a
+    hit in each.
     """
     target = _exact_int("target", target)
     if target < 1:
@@ -129,9 +141,16 @@ def representations(
     else:
         n_max = COORD_LIMIT - 1
     d_step = max(d_lo, 1)  # smallest nonzero difference in the box
+    # ranks 0 and 1 hold only 0 and 1; every other cell of the box is at
+    # least S(v, d_lo, n_low), which never decreases in v.  Any rank from 2
+    # to max(n_min, 2) bounds it; rank 3 keeps the binomial small.
+    n_low = min(max(n_min, 2), 3)
+    bounded = target > 1 or n_min >= 2
 
     hits: list[RepresentationHit] = []
     for v in range(v_lo, v_hi + 1):
+        if bounded and _closed(v, d_lo, n_low) > target:
+            break  # this and every later dimension overshoot
         stop = n_max + 1
         if v >= 2:
             # base and slope never shrink: from the first rank where even

@@ -9,11 +9,12 @@ order the cases were produced in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator
 
-from .kernel import DEFAULT_BOUNDS, SUITES, _check, d_gnomon, hypersolid, n_gnomon, v_gnomon
+from .kernel import (
+    DEFAULT_BOUNDS, SUITES, _check, _Record, _set_field, d_gnomon, hypersolid, n_gnomon, v_gnomon,
+)
 from .sums import (
     LEMMAS,
     _simplex_rows,
@@ -33,31 +34,52 @@ from .triangle import (
 )
 
 
-@dataclass(frozen=True)
-class GridBounds:
+class GridBounds(_Record):
     """Upper ends of the sweep grids (all lower ends are 0 or the domain minimum).
 
     Every bound is an exact int in [0, 2**32); anything else raises
-    :class:`~hypersolids.kernel.RangeError`.
+    :class:`~hypersolids.kernel.RangeError`.  ``m_max`` bounds the lemma
+    parameter grid.
     """
 
-    v_max: int = DEFAULT_BOUNDS["v_max"]
-    d_max: int = DEFAULT_BOUNDS["d_max"]
-    n_max: int = DEFAULT_BOUNDS["n_max"]
-    c_max: int = DEFAULT_BOUNDS["c_max"]
-    s_max: int = DEFAULT_BOUNDS["s_max"]
-    m_max: int = DEFAULT_BOUNDS["m_max"]  # lemma parameter grid
+    __slots__ = ("v_max", "d_max", "n_max", "c_max", "s_max", "m_max")
+    v_max: int
+    d_max: int
+    n_max: int
+    c_max: int
+    s_max: int
+    m_max: int
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            object.__setattr__(self, field.name, _check(field.name, getattr(self, field.name)))
+    def __init__(
+        self,
+        v_max: int = DEFAULT_BOUNDS["v_max"],
+        d_max: int = DEFAULT_BOUNDS["d_max"],
+        n_max: int = DEFAULT_BOUNDS["n_max"],
+        c_max: int = DEFAULT_BOUNDS["c_max"],
+        s_max: int = DEFAULT_BOUNDS["s_max"],
+        m_max: int = DEFAULT_BOUNDS["m_max"],
+    ) -> None:
+        _set_field(self, "v_max", _check("v_max", v_max))
+        _set_field(self, "d_max", _check("d_max", d_max))
+        _set_field(self, "n_max", _check("n_max", n_max))
+        _set_field(self, "c_max", _check("c_max", c_max))
+        _set_field(self, "s_max", _check("s_max", s_max))
+        _set_field(self, "m_max", _check("m_max", m_max))
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(_Record):
+    """One suite's case count and its failures, each (case, expected, actual)."""
+
+    __slots__ = ("suite", "cases_run", "failures")
     suite: str
     cases_run: int
-    failures: tuple[tuple[str, str, str], ...]  # (case, expected, actual)
+    failures: tuple[tuple[str, str, str], ...]
+
+    def __init__(self, suite: str, cases_run: int,
+                 failures: tuple[tuple[str, str, str], ...]) -> None:
+        _set_field(self, "suite", suite)
+        _set_field(self, "cases_run", cases_run)
+        _set_field(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

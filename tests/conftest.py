@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypersolids import cli, kernel
+from hypersolids import cli, kernel, search
 
 
 @pytest.fixture
@@ -22,7 +22,8 @@ def run_cli(capsys):
 
 @pytest.fixture
 def closed_calls(monkeypatch):
-    """Record the scalar closed-form calls made through ``kernel._closed``."""
+    """Record the scalar closed-form calls, made through ``kernel._closed``
+    or through the name ``search`` imported it under."""
     calls = []
     scalar = kernel._closed
 
@@ -31,4 +32,5 @@ def closed_calls(monkeypatch):
         return scalar(v, d, n)
 
     monkeypatch.setattr(kernel, "_closed", spy)
+    monkeypatch.setattr(search, "_closed", spy)
     return calls

@@ -8,7 +8,9 @@ checked reference values and are compared byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -21,7 +23,7 @@ import pytest
 
 import hypersolids
 from hypersolids import GridBounds, diagonal_sum, hypersolid, kernel
-from hypersolids.cli import build_parser
+from hypersolids.cli import _digits, build_parser
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -91,6 +93,73 @@ def test_eval_usage_errors(run_cli):
     assert code == 2
     code, _, _ = run_cli("eval", "--v", "2", "--d", "0", "--n", "3", "--method", "guess")
     assert code == 2
+
+
+@contextlib.contextmanager
+def _digit_limit(limit: int):
+    """Set the interpreter's int-to-str digit limit inside the block (0 lifts it)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _full_str(value: int) -> str:
+    with _digit_limit(0):
+        return str(value)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_eval_prints_values_past_the_default_digit_limit(run_cli, fmt):
+    # S(10000, 1, 10000) has 6019 digits, past CPython's default of 4300;
+    # the judge is math.comb's, printed with the limit lifted
+    digits = _full_str(math.comb(19998, 9999) + math.comb(19998, 10000))
+    assert len(digits) == 6019
+    with _digit_limit(4300):
+        code, out, err = run_cli("eval", "--v", "10000", "--d", "1", "--n", "10000",
+                                 "--format", fmt)
+        assert sys.get_int_max_str_digits() == 4300  # no process-wide change
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["result"] == {"value": digits}
+    else:
+        want = {"text": digits, "csv": f"v,d,n,method,value\n10000,1,10000,closed,{digits}"}
+        assert out == want[fmt] + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_eval_both_methods_print_values_past_the_digit_limit(run_cli, fmt):
+    # the summation route costs v * n additions (about a minute at
+    # v = n = 10000), so this cell is smaller and the limit is lowered to
+    # its floor of 640 digits: S(1200, 1, 1200) has 721
+    digits = _full_str(math.comb(2398, 1199) + math.comb(2398, 1200))
+    assert len(digits) == 721
+    with _digit_limit(640):
+        code, out, err = run_cli("eval", "--v", "1200", "--d", "1", "--n", "1200",
+                                 "--method", "both", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["result"] == {"closed": digits, "summation": digits}
+    elif fmt == "csv":
+        rows = [f"1200,1,1200,{method},{digits}" for method in ("closed", "summation")]
+        assert out.splitlines()[1:] == rows
+    else:
+        assert out == f"closed={digits}\nsummation={digits}\n"
+
+
+@pytest.mark.parametrize("k", [1, 19, 639, 640, 4299, 4300, 4301, 10_000])
+def test_digits_equal_str_on_both_sides_of_the_limit(k):
+    values = (10**k - 1, 10**k, 10**k + 1, -(10**k) - 1)
+    want = [_full_str(x) for x in values]
+    for limit in (640, 4300):
+        with _digit_limit(limit):
+            assert [_digits(x) for x in values] == want
+    # CSV rows mix ints with labels and empty fields, which pass through
+    assert [_digits(x) for x in ("", "d/n", "(d)")] == ["", "d/n", "(d)"]
 
 
 # ----------------------------------------------------------------- table
@@ -195,6 +264,18 @@ def test_table_builds_its_rows_with_no_per_cell_call(run_cli, closed_calls):
     assert (code, out) == (0, (GOLDEN_DIR / "table_v3.csv").read_text())
     # the only scalar cells are the rank-step column, one per difference
     assert closed_calls == [(2, d, 10) for d in range(1, 11)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_table_prints_cells_past_the_digit_limit(run_cli, fmt):
+    # the last cells, near S(1100, 1, 1100), have about 660 digits; printed
+    # under the 640-digit floor they must equal str() with the limit lifted
+    argv = ("table", "--v", "1100", "--dmax", "1", "--nmax", "1100", "--format", fmt)
+    with _digit_limit(0):
+        want = run_cli(*argv)
+    assert len(_full_str(hypersolid(1100, 1, 1100))) > 640
+    with _digit_limit(640):
+        assert run_cli(*argv) == want
 
 
 # -------------------------------------------------------------- triangle
@@ -438,7 +519,7 @@ _LAYERS = {f"hypersolids.{name}" for name in ("search", "sums", "triangle", "ver
         (["sums", "--s", "6", "--fix", "v=2"],
          {*_LAYERS - {"hypersolids.sums"}, "dataclasses", "json"}),
         (["verify", "--suite", "oracle", "--vmax", "2", "--dmax", "2", "--nmax", "2"],
-         {"hypersolids.search", "concurrent.futures"}),
+         {"hypersolids.search", "concurrent.futures", "dataclasses"}),
     ],
     ids=["eval", "triangle", "sums", "verify"],
 )

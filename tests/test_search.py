@@ -240,6 +240,54 @@ def test_representations_match_naive_scan_on_random_boxes(
     assert [tuple(h.triple) for h in hits] == sorted(want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    target=st.integers(min_value=1, max_value=60),
+    v_lo=st.integers(min_value=0, max_value=4),
+    v_hi=st.integers(min_value=4, max_value=60),
+    d_lo=st.integers(min_value=0, max_value=3),
+    d_span=st.integers(min_value=0, max_value=6),
+    n_min=st.integers(min_value=0, max_value=4),
+    n_max=st.none() | st.integers(min_value=0, max_value=20),
+)
+def test_wide_dimension_ranges_match_naive_scan(target, v_lo, v_hi, d_lo, d_span, n_min, n_max):
+    # the dimension loop stops at the first v past the target; the judge
+    # scans every dimension in the box
+    d_hi = d_lo + d_span
+    if v_lo < 2 and n_max is None:
+        n_max = 20
+    hits = representations(target, (v_lo, v_hi), (d_lo, d_hi), n_min, n_max)
+    n_cap = target + 2 if n_max is None else n_max
+    want = naive_hits(target, v_lo, v_hi, d_lo, d_hi, n_min, n_cap)
+    assert [tuple(h.triple) for h in hits] == sorted(want)
+
+
+def test_rank_one_hits_reach_the_last_dimension():
+    # rank 1 holds 1 in every dimension >= 1, so with rank 1 in the box the
+    # target 1 has a hit in each dimension and the loop must not stop early
+    got = [tuple(h.triple) for h in representations(1, (0, 40), (0, 0), 0, 1)]
+    assert got == naive_hits(1, 0, 40, 0, 0, 0, 1) == [(v, 0, 1) for v in range(1, 41)]
+
+
+def test_a_wide_dimension_range_stops_at_the_last_dimension_that_can_hit(closed_calls):
+    # S(v, 0, 3) = v(v + 1)/2 passes 10 at v = 5, so no later dimension is
+    # visited; the loop used to walk all 2**32 - 2 of them (hours)
+    hits = representations(10, v_range=(2, 2**32 - 1))
+    assert [tuple(h.triple) for h in hits] == [
+        (2, 0, 10), (2, 1, 4), (3, 0, 4), (3, 1, 3), (4, 0, 3),
+    ]
+    assert max(v for v, _, _ in closed_calls) == 5
+    assert len(closed_calls) < 50
+
+
+@pytest.mark.parametrize("corner", [10**7, 2**32 - 1])
+def test_the_dimension_stop_test_stays_small_at_large_ranks(closed_calls, corner):
+    # S(v, 0, n_min) at v = n_min = 2**32 - 1 has about 2.6e9 digits; the
+    # stop test bounds the box by rank 3 instead and answers at once
+    assert representations(10, (corner, corner), n_min=corner) == []
+    assert closed_calls and max(n for _, _, n in closed_calls) <= 3
+
+
 def test_large_target_stays_in_the_coordinate_domain():
     # the v = 2, d = 0 hit would sit at rank 10**10, outside the domain;
     # the walk covers about sqrt(2 * 10**10) ranks, not 10**10

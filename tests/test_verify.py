@@ -8,13 +8,15 @@ path actually reports.
 
 from __future__ import annotations
 
-from dataclasses import fields
+import copy
+import pickle
 
 import pytest
 
 from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, run_suite, run_suites, sums,
                          verify)
-from hypersolids.verify import SUITES, _run_cases
+from hypersolids.kernel import DEFAULT_BOUNDS
+from hypersolids.verify import SUITES, VerifyOutcome, _run_cases
 
 SMALL = GridBounds(v_max=3, d_max=3, n_max=4, c_max=8, s_max=10, m_max=8)
 ENLARGED = GridBounds(v_max=12, d_max=10, n_max=18, c_max=34, s_max=60, m_max=45)
@@ -89,7 +91,7 @@ def test_a_wrong_slice_fails_its_own_case_and_the_cross_partition(monkeypatch, q
     assert outcome.cases_run == run_suite("theorems", bounds=SMALL).cases_run
 
 
-@pytest.mark.parametrize("field", [f.name for f in fields(GridBounds)])
+@pytest.mark.parametrize("field", GridBounds.__slots__)
 @pytest.mark.parametrize("bad", [-1, 2**32, True, 3.0, "3"])
 def test_grid_bounds_reject_values_outside_the_domain(field, bad):
     with pytest.raises(RangeError, match=field):
@@ -101,11 +103,78 @@ def test_grid_bounds_accept_the_whole_domain_as_exact_ints():
         def __index__(self):
             return 3
 
-    top = GridBounds(**{f.name: 2**32 - 1 for f in fields(GridBounds)})
+    top = GridBounds(**{field: 2**32 - 1 for field in GridBounds.__slots__})
     assert top.v_max == top.m_max == 2**32 - 1
     converted = GridBounds(v_max=Index())
     assert type(converted.v_max) is int
     assert converted == GridBounds(v_max=3)
+
+
+def test_grid_bounds_is_an_immutable_value():
+    bounds = GridBounds()
+    assert GridBounds.__slots__ == ("v_max", "d_max", "n_max", "c_max", "s_max", "m_max")
+    assert repr(bounds) == "GridBounds(v_max=8, d_max=10, n_max=12, c_max=24, s_max=40, m_max=30)"
+    assert bounds == GridBounds(8, 10, 12, 24, 40, 30) == GridBounds(**DEFAULT_BOUNDS)
+    assert GridBounds(3, 3, 4, 8, 10, 8) == SMALL
+    assert GridBounds(3, 3, m_max=8, n_max=4, s_max=10, c_max=8) == SMALL
+    # the hash of the frozen dataclass these records replace: the field tuple's
+    assert hash(bounds) == hash((8, 10, 12, 24, 40, 30)) == hash(GridBounds())
+    assert bounds != GridBounds(m_max=31) and bounds != SMALL
+
+    class Other(GridBounds):
+        pass
+
+    # equal only within the same class
+    assert bounds != (8, 10, 12, 24, 40, 30) and bounds != Other() and Other() != bounds
+    assert Other() == Other() != Other(m_max=31)
+
+    class Slotted(GridBounds):
+        __slots__ = ()
+
+    # a subclass that declares no slots of its own keeps every field
+    slotted = Slotted(m_max=31)
+    assert slotted == Slotted(m_max=31) != Slotted() and slotted != GridBounds(m_max=31)
+    assert hash(slotted) == hash((8, 10, 12, 24, 40, 31))
+    assert repr(slotted).endswith(
+        ".Slotted(v_max=8, d_max=10, n_max=12, c_max=24, s_max=40, m_max=31)"
+    )
+    assert copy.copy(slotted) == slotted and copy.copy(slotted).m_max == 31
+    for name in ("v_max", "m_max", "other"):
+        with pytest.raises(AttributeError):
+            setattr(bounds, name, 3)
+    for name in ("v_max", "m_max"):
+        with pytest.raises(AttributeError):
+            delattr(bounds, name)
+    assert bounds == GridBounds()
+    assert copy.copy(bounds) == copy.deepcopy(bounds) == bounds
+    assert pickle.loads(pickle.dumps(bounds)) == bounds
+    with pytest.raises(TypeError):
+        GridBounds(1, 2, 3, 4, 5, 6, 7)
+    with pytest.raises(TypeError):
+        GridBounds(w_max=3)
+
+
+def test_verify_outcome_is_an_immutable_value():
+    failures = (("lemma-1 m=2", "3", "4"),)
+    outcome = VerifyOutcome("lemmas", 2, failures)
+    assert repr(outcome) == (
+        "VerifyOutcome(suite='lemmas', cases_run=2, failures=(('lemma-1 m=2', '3', '4'),))"
+    )
+    assert outcome == VerifyOutcome(suite="lemmas", cases_run=2, failures=failures)
+    assert hash(outcome) == hash(("lemmas", 2, failures))
+    assert outcome != ("lemmas", 2, failures) and outcome != VerifyOutcome("lemmas", 2, ())
+    assert not outcome.ok and VerifyOutcome("oracle", 0, ()).ok
+    assert (outcome.suite, outcome.cases_run, outcome.failures) == ("lemmas", 2, failures)
+    for name in ("suite", "failures", "other"):
+        with pytest.raises(AttributeError):
+            setattr(outcome, name, ())
+    for name in ("suite", "cases_run"):
+        with pytest.raises(AttributeError):
+            delattr(outcome, name)
+    assert copy.copy(outcome) == pickle.loads(pickle.dumps(outcome)) == outcome
+    assert run_suite("oracle", bounds=GridBounds(v_max=2, d_max=3, n_max=4)) == VerifyOutcome(
+        "oracle", 60, ()
+    )
 
 
 def test_run_suites_all_order_and_selection():
