@@ -15,12 +15,15 @@ m runs down a column, and with the rank pinned m and v climb a diagonal.  A
 slice query computes its O(s) values in one pass of ``math.comb`` maps over
 ranges, with the v = 0 and m < 0 corners written out, and calls no Python
 function per cell.  The whole simplex is read row by row from the d = 0
-triangle, Pascal's, built by ``kernel._triangle_rows`` like every triangle,
-and the difference gnomon lifts each row to its difference
-(:func:`_simplex_rows`): :func:`sum_fixed_s` sums those rows, so its cost
-depends only on s and not on what was asked before.  Coordinate triples are
-built only when the cells are listed (:func:`enumerate_triples`,
-``include_triples=True``).
+triangle, Pascal's, built by ``kernel._triangle_rows`` like every triangle.
+The difference gnomon S(v, d, n) = S(v, 0, n) + d * S(v + 1, 0, n - 1) lifts
+row c to the difference d = s - c, and a lifted row's sum is
+(P - row[c]) + d * (P - row[0]) with P = sum(row), so :func:`sum_fixed_s`
+adds up one row total and one product per row (:func:`_lifted_tally`) and
+never builds a lifted cell; its cost depends only on s and not on what was
+asked before.  A listing needs every cell's value next to its coordinates,
+so only it lifts each row cell by cell (:func:`_simplex_rows`) and builds
+coordinate triples (:func:`enumerate_triples`, ``include_triples=True``).
 
 The binomial and permutation identities the closed forms rest on are
 catalogued in :data:`LEMMAS` and individually checkable via
@@ -30,7 +33,7 @@ catalogued in :data:`LEMMAS` and individually checkable via
 from __future__ import annotations
 
 import math
-from itertools import chain, count, repeat, starmap
+from itertools import count, repeat, starmap
 from math import comb
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -51,6 +54,26 @@ def _with_difference(row: Sequence[int], d: int) -> list[int]:
     S(v, d, n) = S(v, 0, n) + d * S(v + 1, 0, n - 1), then the rank-0 zero.
     """
     return [*map(add, row, map(d.__mul__, row[1:])), 0]
+
+
+def _lifted_tally(row: Sequence[int], d: int) -> tuple[int, int]:
+    """The sum and the nonzero count of ``_with_difference(row, d)``, not built.
+
+    ``row`` is not empty and holds values >= 0.  Its lift holds
+    row[v] + d * row[v + 1] for v < c = len(row) - 1, then a zero, so the
+    lift sums to (P - row[c]) + d * (P - row[0]) with P = sum(row), and a
+    lifted cell v < c is zero exactly when row[v] is and, for d > 0,
+    row[v + 1] is too.  A row holds few zeros, so ``index`` finds them.
+    """
+    total = sum(row)
+    c = len(row) - 1
+    nonzero = c
+    v = -1
+    for _ in range(row.count(0)):
+        v = row.index(0, v + 1)
+        if v < c and (d == 0 or row[v + 1] == 0):
+            nonzero -= 1
+    return total - row[c] + d * (total - row[0]), nonzero
 
 
 def _simplex_rows(s: int) -> Iterator[list[int]]:
@@ -119,25 +142,27 @@ class SumReport(_Record):
 
 
 def _report(
-    rows: Iterable[list[int]],
+    values: Sequence[int],
     cells: Iterable[tuple[int, int, int]],
     formula_sum: int | None,
     formula_multitude: int | None,
     include_triples: bool,
+    totals: tuple[int, int] | None = None,
 ) -> SumReport:
     """The closed form against the enumerated cells of one query.
 
-    ``rows`` holds the cells' values in one or more lists whose concatenation
-    follows the coordinates in ``cells``.  Only a listing reads ``cells``
-    (and ``rows`` a second time) and turns coordinates into IndexTriples.
+    ``values`` holds the cells' values in the order of the coordinates in
+    ``cells``.  Only a listing reads ``cells`` and turns coordinates into
+    IndexTriples.  ``totals``, when given, is the enumerated sum and nonzero
+    count worked out without the cells, and stands in for the tally of
+    ``values``.
     """
-    enum_sum = multitude = 0
-    for row in rows:
-        enum_sum += sum(row)
-        multitude += len(row) - row.count(0)
+    if totals is None:
+        totals = sum(values), len(values) - values.count(0)
+    enum_sum, multitude = totals
     triples = None
     if include_triples:
-        pairs = zip(starmap(IndexTriple, cells), chain.from_iterable(rows))
+        pairs = zip(starmap(IndexTriple, cells), values)
         triples = tuple((t, value) for t, value in pairs if value)
     consistent = (formula_sum is not None and formula_sum == enum_sum
                   and formula_multitude == multitude)
@@ -177,7 +202,7 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = binomial(s - 1, v) + binomial(s - 1, v + 2)
         formula_multitude = s - v
-    return _report((values,), cells, formula_sum, formula_multitude, include_triples)
+    return _report(values, cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
@@ -201,7 +226,7 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = None
         formula_multitude = None
-    return _report((values,), cells, formula_sum, formula_multitude, include_triples)
+    return _report(values, cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
@@ -234,14 +259,20 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = None
         formula_multitude = None
-    return _report((values,), cells, formula_sum, formula_multitude, include_triples)
+    return _report(values, cells, formula_sum, formula_multitude, include_triples)
 
 
 def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     """Sum over every triple with coordinate total s.
 
     Closed forms 2**s - (s + 1) and C(s+1, 2) - 2 apply for s >= 2; for
-    smaller totals only the enumeration stands.
+    smaller totals only the enumeration stands.  The enumeration reads rows
+    c = 0..s of Pascal's triangle, the d = 0 triangle, and lifts row c to the
+    difference d = s - c by the difference gnomon.  Without a listing each
+    row adds its lifted sum, (P - row[c]) + d * (P - row[0]) with
+    P = sum(row), and its lifted nonzero count from where the row's own
+    zeros lie, so no lifted cell is built.  A listing pairs every cell's
+    value with its coordinates, so only it lifts the rows cell by cell.
     """
     s = _check("s", s)
     if s >= 2:
@@ -252,8 +283,10 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
         formula_multitude = None
     if include_triples:
         values, cells = _triples(s)
-        return _report((values,), cells, formula_sum, formula_multitude, include_triples)
-    return _report(_simplex_rows(s), (), formula_sum, formula_multitude, include_triples)
+        return _report(values, cells, formula_sum, formula_multitude, include_triples)
+    row_sums, row_nonzeros = zip(*map(_lifted_tally, _triangle_rows(0, s), range(s, -1, -1)))
+    totals = sum(row_sums), sum(row_nonzeros)
+    return _report((), (), formula_sum, formula_multitude, False, totals=totals)
 
 
 class _Lemma(NamedTuple):

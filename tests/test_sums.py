@@ -408,6 +408,55 @@ def test_simplex_total_without_listing_never_builds_the_cells(monkeypatch):
     assert sum_fixed_s(1).enumerated_sum == 0
 
 
+def comb0(m: int, k: int) -> int:
+    """C(m, k), zero-extended to negative arguments."""
+    return math.comb(m, k) if m >= 0 and k >= 0 else 0
+
+
+def test_simplex_total_by_row_totals_equals_the_listing_and_every_cell():
+    # the bare report adds one lifted total per Pascal row; the listing lifts
+    # every cell, and the oracle evaluates every cell from two binomials
+    for s in range(201):
+        values = [
+            comb0(v + n - 2, v - 1) + d * comb0(v + n - 2, v)
+            for v in range(s + 1)
+            for d in range(s - v + 1)
+            for n in (s - v - d,)
+        ]
+        want = (sum(values), len(values) - values.count(0))
+        bare = sum_fixed_s(s)
+        listed = sum_fixed_s(s, include_triples=True)
+        assert (bare.enumerated_sum, bare.enumerated_multitude) == want, s
+        assert (listed.enumerated_sum, listed.enumerated_multitude) == want, s
+
+
+@pytest.mark.parametrize(
+    "s,total,multitude", [(0, 0, 0), (1, 0, 0), (2, 1, 1), (3, 4, 4)]
+)
+def test_simplex_total_corners(s, total, multitude):
+    # rows 0-2 of the triangle come from the closed form, not the pair rule
+    rep = sum_fixed_s(s)
+    assert (rep.enumerated_sum, rep.enumerated_multitude) == (total, multitude)
+    assert rep.formula_sum == (total if s >= 2 else None)
+    assert rep.formula_multitude == (multitude if s >= 2 else None)
+    assert rep.consistent is (s >= 2)
+    assert rep.triples is None
+
+
+def test_lifted_tally_equals_the_lifted_row_for_any_row():
+    # rows unlike Pascal's: nonzero ends, runs of zeros, one cell
+    rows = [(0,), (5,), (0, 0), (3, 0), (0, 3), (4, 0, 0, 7), (0, 2, 0, 0, 1, 0), (1, 1, 1)]
+    rows += [
+        tuple((0, 0, 1, 9, 10**30)[(7 * i + 3 * j * j) % 5] for j in range(i % 11 + 1))
+        for i in range(200)
+    ]
+    for row in rows:
+        for d in (0, 1, 2, 7, 10**20):
+            lifted = [row[v] + d * row[v + 1] for v in range(len(row) - 1)] + [0]
+            want = (sum(lifted), len(lifted) - lifted.count(0))
+            assert sums._lifted_tally(row, d) == want, (row, d)
+
+
 # ----------------------------------------------------------------- lemmas
 
 
