@@ -1,4 +1,4 @@
-"""Large binomial coefficients as products of prime powers.
+"""Primes for the package: big binomials and the factoring of search targets.
 
 ``math.comb`` on CPython 3.10/3.11 divides big integers exactly on its way
 to C(m, k), and CPython's long division is quadratic in the digits.  For
@@ -12,15 +12,22 @@ The primes come from a bytearray sieve that is run on first use, is run
 again at double the size when a larger m arrives, and never covers more
 than ``SIEVE_CAP``; above the cap :func:`comb` hands the call to
 ``math.comb``.  Only the ascending primes it found are kept.
+
+:func:`factor` splits an inverse-search target into primes: trial division
+by the sieve's primes below ``TRIAL_LIMIT``, then Miller-Rabin and
+Pollard-Brent on what is left, within ``FACTOR_BUDGET``.  Only
+:mod:`hypersolids.search` calls it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress
 from operator import mul
+
+from .kernel import RangeError
 
 #: Largest m whose primes the sieve will hold: it runs on a 1 MB bytearray
 #: and keeps the 82025 primes it finds in a 656 KB array.
@@ -31,6 +38,24 @@ SIEVE_CAP = 1 << 20
 #: tuple so that a reader in another thread never pairs a new top with an
 #: old table.
 _sieved = (0, array("l"))
+
+#: :func:`factor` divides out the primes below this first; a cofactor left
+#: below its square has no smaller prime factor and so is prime.
+TRIAL_LIMIT = 1024
+
+#: Miller-Rabin bases.  Together they decide primality exactly below 3.3e24;
+#: a larger cofactor that passes all of them is taken as prime.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The work one :func:`factor` call may do, in Pollard-Brent steps modulo a
+#: number below 2**256; a step modulo a number of k such 256-bit words
+#: counts k**2 (measured: a step at 1024 bits costs 16 at 64 bits), and a
+#: trial division of such a number k.
+#: At full budget Pollard-Brent takes about 0.5 s and splits every cofactor
+#: whose second-largest prime factor is below about 1e11.  The inverse
+#: search holds the ranks it lists or walks in one dimension to the same
+#: count.
+FACTOR_BUDGET = 1 << 20
 
 
 def _primes_upto(m: int) -> array:
@@ -93,3 +118,135 @@ def comb(m: int, k: int) -> int:
     # m - k < p <= m: each divides the numerator once and k! not at all
     factors += primes[low:end]
     return _product(factors)
+
+
+def factor(t: int) -> dict[int, int] | None:
+    """{prime: exponent} of t >= 1, or None if that costs more than FACTOR_BUDGET.
+
+    Each trial division is charged one unit per 256-bit word of t, each
+    cofactor past TRIAL_LIMIT**2 the worst case of its primality test, and
+    a composite one the Pollard-Brent steps it takes, each before the work
+    runs, so the budget is never overrun.
+    """
+    factors: dict[int, int] = {}
+    budget = FACTOR_BUDGET
+    cost = t.bit_length() // 256 + 1  # of one trial division
+    for p in _primes_upto(TRIAL_LIMIT):
+        if p >= TRIAL_LIMIT or p * p > t:
+            break
+        budget -= cost
+        while t % p == 0:
+            t //= p
+            factors[p] = factors.get(p, 0) + 1
+            budget -= cost
+            if budget < 0:
+                return None
+    if budget < 0:
+        return None
+    pending = [t] if t > 1 else []
+    while pending:
+        m = pending.pop()
+        if m >= TRIAL_LIMIT**2:  # below that, m has no smaller prime factor
+            weight = (m.bit_length() // 256 + 1) ** 2
+            budget -= weight * m.bit_length() * len(_WITNESSES)
+            if budget < 0:
+                return None
+            if not _is_probable_prime(m):
+                f, spent = _brent(m, budget // weight)
+                budget -= weight * spent
+                if f is None:
+                    return None
+                pending += [f, m // f]
+                continue
+        factors[m] = factors.get(m, 0) + 1
+    return factors
+
+
+def factorial_divisors(v: int, t_factors: dict[int, int], lo: int, hi: int) -> list[int]:
+    """The divisors of v! * t in [lo, hi], ascending, from the factorisation of t.
+
+    A divisor up to hi has no prime factor past hi, so only the primes of
+    v! up to min(v, hi) are counted (by Legendre's formula).
+    """
+    top = min(v, hi)
+    if top > SIEVE_CAP:
+        raise RangeError(f"a rank past {SIEVE_CAP} in a dimension past {SIEVE_CAP} "
+                         "needs more primes than the sieve keeps")
+    exponents = dict(t_factors)
+    for p in _primes_upto(top):
+        if p > top:
+            break
+        e, q = 0, p
+        while q <= v:
+            e += v // q
+            q *= p
+        exponents[p] = exponents.get(p, 0) + e
+    divisors = [1]  # kept sorted
+    for p, e in exponents.items():
+        powers = []
+        q = p
+        while q <= hi and len(powers) < e:
+            powers.append(q)
+            q *= p
+        ends = [bisect_right(divisors, hi // q) for q in powers]
+        if len(divisors) + sum(ends) > FACTOR_BUDGET:
+            raise RangeError(f"more than {FACTOR_BUDGET} candidate ranks in dimension {v}")
+        divisors += [n * q for q, end in zip(powers, ends) for n in divisors[:end]]
+        divisors.sort()
+    return divisors[bisect_left(divisors, lo):]
+
+
+def _is_probable_prime(m: int) -> bool:
+    """Miller-Rabin to the bases ``_WITNESSES``, for odd m > TRIAL_LIMIT."""
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = 2**s * odd
+    odd = (m - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, odd, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent(m: int, steps: int) -> tuple[int | None, int]:
+    """(a proper factor of the odd composite m or None, steps spent).
+
+    Pollard's rho with Brent's cycle search and gcds batched 128 steps at a
+    time.  The walks x -> x**2 + c start at 2 with c = 1, 2, ... in turn, so
+    the answer repeats from run to run; None means ``steps`` ran out first.
+    """
+    spent, c = 0, 0
+    while True:
+        c += 1
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            if spent + r > steps:
+                return None, spent
+            spent += r
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                saved, batch = y, min(128, r - k)
+                if spent + batch > steps:
+                    return None, spent
+                spent += batch
+                for _ in range(batch):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += batch
+            r *= 2
+        if g == m:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % m
+                g = math.gcd(abs(x - saved), m)
+        if g != m:
+            return g, spent

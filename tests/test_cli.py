@@ -592,6 +592,20 @@ def test_represent_default_difference_cap_stays_in_the_coordinate_domain(run_cli
     ]
 
 
+def test_represent_a_large_target(run_cli):
+    # the hits the rank walk found in 0.8 s, over the ~1.4e6 ranks it needed
+    # at v = 2; the divisor search lists the divisors of v! * 10**12 instead
+    code, out, err = run_cli("represent", "--value", str(10**12), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = [tuple(map(int, row.split(","))) for row in out.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [
+        (2, 2, 1000000), (2, 20002, 10000), (2, 2002002, 1000), (2, 202020202, 100),
+        (2, 496031746, 64), (2, 1282051282, 40),
+    ]
+    for v, d, n, value in rows:
+        assert value == 10**12 == math.comb(v + n - 2, v - 1) + d * math.comb(v + n - 2, v)
+
+
 def test_represent_empty_box(run_cli):
     code, out, _ = run_cli("represent", "--value", "2")
     assert code == 0

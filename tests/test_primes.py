@@ -1,7 +1,8 @@
-"""The prime-power binomial against ``math.comb``.
+"""The prime-power binomial against ``math.comb``, and the target factoring.
 
 ``hypersolids._primes.comb`` builds C(m, k) from a sieve's primes; the judge
-here is ``math.comb``, which shares none of that code.  The sieve is a
+here is ``math.comb``, which shares none of that code.  ``factor`` and
+``factorial_divisors`` are judged by plain trial division and a scan.  The sieve is a
 process-wide cache, so tests that need it in a given state set ``_sieved``
 with monkeypatch, which puts the cache back afterwards.
 """
@@ -9,6 +10,7 @@ with monkeypatch, which puts the cache back afterwards.
 from __future__ import annotations
 
 import math
+import random
 from array import array
 
 import pytest
@@ -97,3 +99,74 @@ def test_the_cap_bounds_the_sieve_and_hands_bigger_m_to_math_comb(monkeypatch):
     assert kernel._closed(v, d, n) == math.comb(m, v - 1) + d * math.comb(m, v)
     assert _primes._sieved[0] == 3001
 
+
+
+# ------------------------------------------------------------ factoring
+
+
+def trial_division(t: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= t:
+        while t % p == 0:
+            out[p] = out.get(p, 0) + 1
+            t //= p
+        p += 1
+    if t > 1:
+        out[t] = out.get(t, 0) + 1
+    return out
+
+
+def test_factor_matches_trial_division():
+    rng = random.Random(7)
+    numbers = [*range(1, 300), *(rng.randint(1, 10**9) for _ in range(60)),
+               1021 * 1031, 1031**2, 1048573, 2**30, 720720 * 10**3]
+    for t in numbers:
+        assert _primes.factor(t) == trial_division(t), t
+
+
+@pytest.mark.parametrize("factors", [
+    {10**9 + 7: 1, 10**9 + 9: 1},
+    {2**31 - 1: 1, 2**61 - 1: 1},
+    {998244353: 1, 1000003: 1, 1000033: 1},
+    {1000003: 2},
+    {3: 40, 2**61 - 1: 1},
+    {2**89 - 1: 1},
+    # strong pseudoprimes: 3215031751 to the bases 2, 3, 5 and 7, and
+    # 3825123056546413051 to every prime base up to 23
+    {151: 1, 751: 1, 28351: 1},
+    {149491: 1, 747451: 1, 34233211: 1},
+], ids=lambda f: "*".join(map(str, f)))
+def test_factor_splits_products_of_known_primes(factors):
+    t = math.prod(p**e for p, e in factors.items())
+    assert _primes.factor(t) == factors
+
+
+def test_factor_gives_up_at_its_budget(monkeypatch):
+    t = (2**31 - 1) * (2**61 - 1)
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 10**4)
+    assert _primes.factor(t) is None
+    # a smooth number needs trial division only: one unit per division
+    # while it is below 2**256
+    assert _primes.factor(2**100 * 3**50) == {2: 100, 3: 50}
+
+
+def test_trial_division_is_charged_by_the_size_of_the_target(monkeypatch):
+    # each division of a 5001-bit number costs 20 units: 49 of them fit in
+    # 1000, not the 5000 that 2**5000 needs
+    assert _primes.factor(2**5000) == {2: 5000}
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 1000)
+    assert _primes.factor(2**5000) is None
+    assert _primes.factor(2**40) == {2: 40}
+
+
+@pytest.mark.parametrize("v", [2, 3, 5, 8, 13])
+def test_factorial_divisors_match_a_scan(v):
+    rng = random.Random(v)
+    for _ in range(20):
+        t = rng.randint(1, 10**6)
+        lo = rng.randint(0, 50)
+        hi = lo + rng.randint(0, 3000)
+        scaled = math.factorial(v) * t
+        want = [n for n in range(max(lo, 1), hi + 1) if scaled % n == 0]
+        assert _primes.factorial_divisors(v, trial_division(t), lo, hi) == want, (t, lo, hi)

@@ -2,12 +2,15 @@
 
 ``naive_hits`` below is a deliberately dumb scan over the box using the
 plain product formulas (no shared code with the package's closed form);
-``representations`` must agree with it exactly.
+``representations`` must agree with it exactly.  ``walk_representations``
+is the rank walk the search ran before it listed divisors: it reaches
+targets too large for the naive scan, at about sqrt(2 * target) ranks.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 
 import pytest
@@ -24,7 +27,7 @@ from hypersolids import (
     representations,
     sequence_slice,
 )
-from hypersolids import kernel
+from hypersolids import _primes, kernel, search
 from hypersolids.kernel import _PRIME_ROUTE_SIDE
 
 
@@ -48,6 +51,55 @@ def naive_hits(target, v_lo, v_hi, d_lo, d_hi, n_min, n_max):
                 if naive_value(v, d, n) == target:
                     out.append((v, d, n))
     return out
+
+
+def least_rank_reaching(v: int, d: int, value: int) -> int:
+    """Least rank n >= 1 with hypersolid(v, d, n) >= value, or COORD_LIMIT if none.
+
+    Doubling, then bisection: the judge's own search, not ``search._least_rank``.
+    """
+    hi = 1
+    while hypersolid(v, d, hi) < value:
+        if hi == COORD_LIMIT - 1:
+            return COORD_LIMIT
+        hi = min(2 * hi, COORD_LIMIT - 1)
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hypersolid(v, d, mid) < value:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def walk_representations(target, v_range=(2, 8), d_range=None, n_min=3, n_max=None):
+    """The (v, d, n) hits of the box, for dimensions v >= 2, by walking the ranks.
+
+    Each dimension walks every rank up to the first where the smallest
+    nonzero difference of the box overshoots, and then checks the one later
+    rank that can still hold a d = 0 hit.  It has no dimension stop test, so
+    keep the dimension range narrow.
+    """
+    v_lo, v_hi = v_range
+    d_lo, d_hi = (0, min(target, COORD_LIMIT - 1)) if d_range is None else d_range
+    n_max = COORD_LIMIT - 1 if n_max is None else n_max
+    out = []
+    for v in range(max(v_lo, 2), v_hi + 1):
+        stop = min(max(least_rank_reaching(v, max(d_lo, 1), target + 1), n_min), n_max + 1)
+        for n in range(n_min, stop):
+            base, slope = binomial(v + n - 2, v - 1), binomial(v + n - 2, v)
+            if slope == 0:
+                if base == target:
+                    out += [(v, d, n) for d in range(d_lo, d_hi + 1)]
+            else:
+                d, leftover = divmod(target - base, slope)
+                if leftover == 0 and d_lo <= d <= d_hi:
+                    out.append((v, d, n))
+        n = least_rank_reaching(v, 0, target)
+        if d_lo == 0 and stop <= n <= n_max and hypersolid(v, 0, n) == target:
+            out.append((v, 0, n))
+    return sorted(out)
 
 
 # ------------------------------------------------------------- rank_of
@@ -75,6 +127,24 @@ def test_rank_of_agrees_with_linear_scan():
                 n += 1
             for value in range(1, 5001):
                 assert rank_of(value, v, d) == table.get(value)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_rank_search_matches_a_plain_bisection(seed):
+    # guesses from floats may be far off for large dimensions, huge values or
+    # differences near the top of the domain; the answer must not depend on it
+    rng = random.Random(seed)
+    for _ in range(300):
+        v = rng.choice((1, 2, 3, 5, 8, 40, 700, rng.randint(1, COORD_LIMIT - 1)))
+        d = rng.choice((0, 1, 7, rng.randint(0, COORD_LIMIT - 1)))
+        if v == 1 and d == 0:
+            d = 1  # the constant sequence 1, 1, ...
+        if rng.random() < 0.5:
+            n = rng.randint(1, 50 if v > 700 else rng.choice((100, 10**6, COORD_LIMIT - 1)))
+            value = max(hypersolid(v, d, n) + rng.choice((-1, 0, 1)), 1)
+        else:
+            value = int(10 ** rng.uniform(0, rng.choice((4, 12, 40))))
+        assert search._least_rank(v, d, value) == least_rank_reaching(v, d, value), (v, d, value)
 
 
 class Index:
@@ -290,7 +360,7 @@ def test_the_dimension_stop_test_stays_small_at_large_ranks(closed_calls, corner
 
 def test_large_target_stays_in_the_coordinate_domain():
     # the v = 2, d = 0 hit would sit at rank 10**10, outside the domain;
-    # the walk covers about sqrt(2 * 10**10) ranks, not 10**10
+    # the search checks the divisors of v! * 10**10 below 2**32, not the ranks
     target = 10**10
     start = time.perf_counter()
     hits = representations(target)
@@ -305,9 +375,9 @@ def test_large_target_stays_in_the_coordinate_domain():
 
 
 def test_d0_hits_far_past_the_walk_are_found():
-    # S(3, 0, n) = C(n + 1, 2): the rank walk stops near n = 2 * 10**4 at
-    # v = 3, so the hit at rank 5 * 10**4 must come from the binary search,
-    # as must the natural-number hit S(2, 0, target) = target
+    # S(3, 0, n) = C(n + 1, 2): the d >= 1 checks stop near n = 2 * 10**4
+    # at v = 3, so the hit at rank 5 * 10**4 must come from the rank search's
+    # last rank, as must the natural-number hit S(2, 0, target) = target
     target = hypersolid(3, 0, 50_000)
     found = {tuple(h.triple) for h in representations(target, v_range=(2, 3))}
     assert {(2, 0, target), (3, 0, 50_000)} <= found
@@ -353,6 +423,133 @@ def test_every_value_is_found_in_its_own_box(v, d, n):
     target = hypersolid(v, d, n)
     hits = representations(target, v_range=(2, 8), n_min=3, n_max=n + 5)
     assert (IndexTriple(v, d, n), target) in hits
+
+
+@pytest.mark.parametrize("box", [
+    {"v_range": (2,)}, {"v_range": 5}, {"v_range": (2, 3, 4)},
+    {"d_range": (1,)}, {"d_range": 7}, {"d_range": (0, 1, 2)},
+], ids=["v-one", "v-int", "v-three", "d-one", "d-int", "d-three"])
+def test_ranges_must_be_low_high_pairs(box):
+    name = next(iter(box))
+    with pytest.raises(RangeError, match=f"{name} must be a \\(low, high\\) pair"):
+        representations(10, **box)
+
+
+# ------------------------------------------- divisor search against the walk
+
+
+@pytest.fixture
+def both_routes(monkeypatch):
+    """``representations`` as shipped, and with every dimension on the divisor route."""
+
+    def run(target, **box):
+        shipped = [tuple(h.triple) for h in representations(target, **box)]
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_DIRECT_RANKS", 0)
+            divisors_only = [tuple(h.triple) for h in representations(target, **box)]
+        return shipped, divisors_only
+
+    return run
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_targets_match_the_walk(both_routes, seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        target = int(10 ** rng.uniform(0, 9))
+        want = walk_representations(target)
+        assert both_routes(target) == (want, want), target
+
+
+@pytest.mark.parametrize("target", [
+    720720, 7207200, 72072000, 720720000, 735134400, 223092870, 479001600, 2**29, 3**18,
+    6**11,
+])
+def test_highly_composite_targets_match_the_walk(both_routes, target):
+    want = walk_representations(target)
+    assert both_routes(target) == (want, want)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_planted_large_difference_hits(both_routes, seed):
+    # differences near the top of the domain put the hits at small ranks of
+    # targets up to ~1e16, far past the walk; the cap n_max = 2000 keeps the
+    # walk cheap and still leaves the divisor route its ranks at v = 2 and 3
+    rng = random.Random(seed)
+    for _ in range(8):
+        v, d, n = rng.randint(2, 6), rng.randint(2**31, COORD_LIMIT - 1), rng.randint(3, 40)
+        target = naive_value(v, d, n)
+        hits = representations(target)
+        assert IndexTriple(v, d, n) in [h.triple for h in hits]
+        assert all(naive_value(*h.triple) == target for h in hits)
+        want = walk_representations(target, n_max=2000)
+        assert both_routes(target, n_max=2000) == (want, want), (v, d, n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_boxes_with_a_difference_floor_and_rank_floors_match_the_walk(both_routes, seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        target = int(10 ** rng.uniform(0.3, 7))
+        d_lo = rng.choice((0, 1, 2, rng.randint(3, 1000)))
+        box = {
+            "v_range": (2, rng.randint(2, 10)),
+            "d_range": (d_lo, d_lo + rng.randint(0, 10**7)),
+            "n_min": rng.choice((0, 1, 2, 3, 4, 10, 100, 300, 1000)),
+            "n_max": rng.choice((None, None, rng.randint(1, 5000))),
+        }
+        want = walk_representations(target, **box)
+        assert both_routes(target, **box) == (want, want), (target, box)
+
+
+def test_a_target_of_1e30_answers_at_once():
+    start = time.perf_counter()
+    hits = representations(10**30, v_range=(2, 3))
+    assert time.perf_counter() - start < 1.0
+    assert all(naive_value(*h.triple) == 10**30 for h in hits)
+
+
+# --------------------------------------------------------- factoring budget
+
+#: S(2, 1000004, 250) = 250 * 124500499, and the prime 124500499 lies past
+#: TRIAL_LIMIT**2, so factoring HARD costs a primality test, charged one
+#: unit per bit (27) and witness (13) before it runs
+HARD = 250 * 124500499
+HARD_TEST_UNITS = 27 * 13
+
+
+def test_a_failed_factorisation_walks_the_ranks_it_can_afford(monkeypatch):
+    assert naive_value(2, 1000004, 250) == HARD
+    want = [tuple(h.triple) for h in representations(HARD, n_max=300)]
+    assert (2, 1000004, 250) in want
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", HARD_TEST_UNITS - 1)
+    assert _primes.factor(HARD) is None
+    # the dimensions up to v = 5 have about 298 ranks up to n_max = 300: more
+    # than _DIRECT_RANKS, so they would list divisors, and within the
+    # budget as a walk
+    got = [tuple(h.triple) for h in representations(HARD, n_max=300)]
+    assert got == want == walk_representations(HARD, n_max=300)
+    # 398 ranks are not
+    with pytest.raises(RangeError, match="would take 398 ranks"):
+        representations(HARD, n_max=400)
+
+
+def test_a_failed_factorisation_with_too_many_ranks_raises(monkeypatch, run_cli):
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", HARD_TEST_UNITS - 1)
+    with pytest.raises(RangeError, match="does not factor within 350 steps"):
+        representations(HARD)
+    code, out, err = run_cli("represent", "--value", str(HARD))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "does not factor" in err
+
+
+def test_the_candidate_ranks_of_a_dimension_are_held_to_the_budget(monkeypatch):
+    # 720720 factors by trial division alone, but 2 * 720720 has more than
+    # 50 divisors below 720720
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 50)
+    assert _primes.factor(720720) == {2: 4, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1}
+    with pytest.raises(RangeError, match="more than 50 candidate ranks in dimension 2"):
+        representations(720720)
 
 
 # ------------------------------------------------------- sequence_slice
