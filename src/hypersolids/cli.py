@@ -48,6 +48,32 @@ def _digits(value: object) -> str:
         return str(Decimal(value))
 
 
+def _integer(text: str) -> int:
+    """``int(text)``, also for a literal past the interpreter's int-from-str digit limit.
+
+    It takes exactly the strings ``int`` takes: surrounding whitespace, a
+    sign, then decimal digits with single underscores between them.  Only
+    when ``int`` refuses such a string, which it does just for its length,
+    is it read through ``decimal.Decimal``, which has no such limit; no
+    process-wide setting is changed.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        if body[:1] in ("+", "-"):
+            body = body[1:]
+        if not all(part.isdecimal() for part in body.split("_")):
+            raise
+        from decimal import Decimal
+
+        return int(Decimal(text))
+
+
+# argparse names the type in its message: "invalid int value: 'abc'"
+_integer.__name__ = "int"
+
+
 def _render(fmt: str, query: dict, consistent: bool, payload: object) -> str:
     if fmt == "json":
         import json
@@ -181,7 +207,7 @@ def _parse_fix(text: str | None) -> tuple[str, int] | None:
     if sep != "=" or coord not in ("v", "d", "n"):
         raise ValueError(f"--fix expects v=NUM, d=NUM or n=NUM, got {text!r}")
     try:
-        value = int(raw)
+        value = _integer(raw)
     except ValueError:
         raise ValueError(f"--fix expects an integer value, got {text!r}") from None
     return coord, value
@@ -297,32 +323,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate one number")
-    p.add_argument("--v", type=int, required=True, help="dimension")
-    p.add_argument("--d", type=int, required=True, help="common difference")
-    p.add_argument("--n", type=int, required=True, help="rank")
+    p.add_argument("--v", type=_integer, required=True, help="dimension")
+    p.add_argument("--d", type=_integer, required=True, help="common difference")
+    p.add_argument("--n", type=_integer, required=True, help="rank")
     p.add_argument("--method", choices=(*METHODS, "both"), default="closed")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("table", parents=[common],
                        help="d x n value grid for one dimension")
-    p.add_argument("--v", type=int, required=True, help="dimension (>= 2)")
-    p.add_argument("--dmax", type=int, default=10)
-    p.add_argument("--nmax", type=int, default=10)
+    p.add_argument("--v", type=_integer, required=True, help="dimension (>= 2)")
+    p.add_argument("--dmax", type=_integer, default=10)
+    p.add_argument("--nmax", type=_integer, default=10)
     p.add_argument("--gnomons", action="store_true",
                    help="append the rank-step column and the difference-step row")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("triangle", parents=[common],
                        help="fixed-difference triangle with row sums")
-    p.add_argument("--d", type=int, required=True, help="common difference")
-    p.add_argument("--rows", type=int, required=True, help="last row index")
-    p.add_argument("--diagonals", type=int, default=None, metavar="M",
+    p.add_argument("--d", type=_integer, required=True, help="common difference")
+    p.add_argument("--rows", type=_integer, required=True, help="last row index")
+    p.add_argument("--diagonals", type=_integer, default=None, metavar="M",
                    help="also print slope-1/M diagonal sums (M >= 2)")
     p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("sums", parents=[common],
                        help="fixed-total sums: closed form vs enumeration")
-    p.add_argument("--s", type=int, required=True, help="coordinate total v+d+n")
+    p.add_argument("--s", type=_integer, required=True, help="coordinate total v+d+n")
     p.add_argument("--fix", default=None, metavar="COORD=NUM",
                    help="pin one coordinate, e.g. v=2, d=0 or n=4")
     p.add_argument("--list", dest="list_triples", action="store_true",
@@ -333,21 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run exhaustive identity sweeps")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     for flag in _BOUNDS:
-        p.add_argument(f"--{flag}", type=int, default=DEFAULT_BOUNDS[f"{flag[0]}_max"])
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+        p.add_argument(f"--{flag}", type=_integer, default=DEFAULT_BOUNDS[f"{flag[0]}_max"])
+    p.add_argument("--jobs", type=_integer, default=1, metavar="N",
                    help="sweeps run in one thread; N >= 1 is accepted for compatibility")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("represent", parents=[common],
                        help="find all coordinates producing a value")
-    p.add_argument("--value", type=int, required=True)
-    p.add_argument("--vmin", type=int, default=2)
-    p.add_argument("--vmax", type=int, default=8)
-    p.add_argument("--dmin", type=int, default=0)
-    p.add_argument("--dmax", type=int, default=None,
+    p.add_argument("--value", type=_integer, required=True)
+    p.add_argument("--vmin", type=_integer, default=2)
+    p.add_argument("--vmax", type=_integer, default=8)
+    p.add_argument("--dmin", type=_integer, default=0)
+    p.add_argument("--dmax", type=_integer, default=None,
                    help="default: min(VALUE, 2**32 - 1)")
-    p.add_argument("--nmin", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=None,
+    p.add_argument("--nmin", type=_integer, default=3)
+    p.add_argument("--nmax", type=_integer, default=None,
                    help="default: 2**32 - 1; required when --vmin < 2")
     p.set_defaults(func=_cmd_represent)
 

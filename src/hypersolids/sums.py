@@ -299,6 +299,10 @@ class _Lemma(NamedTuple):
 #: The identities the closed forms are built from, each stated as an
 #: exactly evaluable left side (a literal sum) and right side (its closed
 #: form).  Keys are stable tags usable from the command line and tests.
+#: The binomial sums call ``math.comb`` directly: their stated domains keep
+#: 0 <= k <= n in every term, so they need no zero extension.  The right
+#: sides keep ``binomial``, and ``permutation_ladder`` keeps ``permutation``,
+#: whose m = 0 case reads P(j, -1) = 0.
 LEMMAS: dict[str, _Lemma] = {
     "sum_r": _Lemma(
         ("n",),
@@ -321,25 +325,25 @@ LEMMAS: dict[str, _Lemma] = {
     "hockey_stick": _Lemma(
         ("M", "m"),
         lambda M, m: 0 <= m <= M,
-        lambda M, m: sum(binomial(j, m) for j in range(m, M + 1)),
+        lambda M, m: sum(map(comb, range(m, M + 1), repeat(m))),
         lambda M, m: binomial(M + 1, m + 1),
     ),
     "diagonal_stick": _Lemma(
         ("M", "m"),
         lambda M, m: M >= 0 and m >= 0,
-        lambda M, m: sum(binomial(M + j, j) for j in range(m + 1)),
+        lambda M, m: sum(map(comb, range(M, M + m + 1), range(m + 1))),
         lambda M, m: binomial(M + m + 1, m),
     ),
     "row_power": _Lemma(
         ("M",),
         lambda M: M >= 0,
-        lambda M: sum(binomial(M, j) for j in range(M + 1)),
+        lambda M: sum(map(comb, repeat(M), range(M + 1))),
         lambda M: 2**M,
     ),
     "weighted_stick": _Lemma(
         ("M", "m"),
         lambda M, m: 0 <= m < M,
-        lambda M, m: sum(j * binomial(M - j, m) for j in range(1, M - m + 1)),
+        lambda M, m: sum(j * comb(M - j, m) for j in range(1, M - m + 1)),
         lambda M, m: binomial(M + 1, m + 2),
     ),
     "permutation_ladder": _Lemma(

@@ -27,10 +27,12 @@ verify cases and the adjacency test compare ``hypersolid`` against
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable
 
 from .kernel import (
-    RangeError, _check, _exact_int, _Record, _set_field, _triangle_rows, binomial, hypersolid,
+    RangeError, _check, _closed, _exact_int, _Record, _set_field, _triangle_rows, binomial,
+    hypersolid,
 )
 
 
@@ -96,7 +98,8 @@ def compile_row(d: int, n: int, v: int) -> int:
     d = _check("d", d)
     n = _check("n", n)
     v = _check("v", v)
-    return sum(hypersolid(r, d, n) for r in range(v + 1))
+    # every term has r <= v, so the checks above cover it
+    return sum(map(_closed, range(v + 1), repeat(d), repeat(n)))
 
 
 def diagonal_sum(d: int, m: int, k: int) -> int:
@@ -109,7 +112,8 @@ def diagonal_sum(d: int, m: int, k: int) -> int:
     d = _check("d", d)
     m = _check("m", m, 2)
     k = _check("k", k, 2)
-    return sum(hypersolid(v, d, k - m * v) for v in range(k // m + 1))
+    # term v has rank k - m * v, which runs from k down to k % m >= 0
+    return sum(map(_closed, range(k // m + 1), repeat(d), range(k, -1, -m)))
 
 
 def recurrence_sequence(d: int, m: int, count: int) -> list[int]:

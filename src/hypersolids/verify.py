@@ -2,9 +2,10 @@
 
 Each suite replays a family of exact identities over a finite grid and
 records every violation as (case, expected, actual).  A suite is a
-generator that computes each case where it is listed, in one thread;
-failures are sorted by case key, so the report does not depend on the
-order the cases were produced in.
+generator that computes each case where it is listed, in one thread (the
+corollaries suite first evaluates, once per difference, the values its
+cases share); failures are sorted by case key, so the report does not
+depend on the order the cases were produced in.
 """
 
 from __future__ import annotations
@@ -134,35 +135,45 @@ def _gnomon_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
 
 
 def _corollary_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
+    # Each closed value, row total and diagonal total is evaluated once per
+    # difference and read by every case that names it.  The values are
+    # scalar hypersolid calls, never triangle rows: triangles are built by
+    # the adjacency rule these cases judge.
     for d in range(b.d_max + 1):
+        # closed[v][n] = S(v, d, n) for what adjacency (n <= c_max - v) and
+        # the column and row compilations (v <= v_max, n <= n_max + 1) read
+        closed = [
+            [hypersolid(v, d, n) for n in range(max(b.c_max - v, b.n_max + 1) + 1)]
+            for v in range(max(b.c_max, b.v_max + 1))
+        ]
         for c in range(3, b.c_max + 1):
             for v in range(1, c):
-                # Scalars on both sides: triangles are built by this very rule.
-                yield (f"adjacency d={d} c={c} v={v}", hypersolid(v, d, c - v),
-                       hypersolid(v, d, c - 1 - v) + hypersolid(v - 1, d, c - v))
+                yield (f"adjacency d={d} c={c} v={v}", closed[v][c - v],
+                       closed[v][c - 1 - v] + closed[v - 1][c - v])
         for v in range(2, b.v_max + 1):
-            column = tuple(hypersolid(v, d, n) for n in range(b.n_max + 1))
-            below = accumulate(hypersolid(v - 1, d, n) for n in range(b.n_max + 1))
+            column = tuple(closed[v][: b.n_max + 1])
+            below = accumulate(closed[v - 1][: b.n_max + 1])
             yield f"column-compilation d={d} v={v}", column, tuple(below)
         for n in range(2, b.n_max + 1):
             for v in range(b.v_max + 1):
                 yield (f"row-compilation d={d} n={n} v={v}",
-                       hypersolid(v, d, n + 1), compile_row(d, n, v))
+                       closed[v][n + 1], compile_row(d, n, v))
         triangle = build_triangle(d, b.c_max)
+        totals = [row_sum(d, c) for c in range(b.c_max + 1)]
         for c in range(b.c_max + 1):
-            yield f"row-total d={d} c={c}", sum(triangle.row(c)), row_sum(d, c)
+            yield f"row-total d={d} c={c}", sum(triangle.row(c)), totals[c]
             if c >= 3:
-                yield f"row-doubling d={d} c={c}", row_sum(d, c), 2 * row_sum(d, c - 1)
-                yield (f"row-cumulative d={d} c={c}", row_sum(d, c) - (d + 1),
-                       sum(row_sum(d, j) for j in range(2, c)))
+                yield f"row-doubling d={d} c={c}", totals[c], 2 * totals[c - 1]
+                yield (f"row-cumulative d={d} c={c}", totals[c] - (d + 1),
+                       sum(totals[2:c]))
         seeded = [d, d + 1]
         while len(seeded) < 29:
             seeded.append(seeded[-1] + seeded[-2])
         yield f"diagonal-seeded d={d} m=2", tuple(seeded), tuple(recurrence_sequence(d, 2, 29))
         for m in (2, 3, 4):
+            a = [0, 0, *(diagonal_sum(d, m, k) for k in range(2, 31))]  # a[k], k >= 2
             for k in range(m + 2, 31):
-                yield (f"diagonal-recurrence d={d} m={m} k={k}", diagonal_sum(d, m, k),
-                       diagonal_sum(d, m, k - 1) + diagonal_sum(d, m, k - m))
+                yield f"diagonal-recurrence d={d} m={m} k={k}", a[k], a[k - 1] + a[k - m]
     for c in range(b.c_max + 1):
         for v in range(c + 1):
             yield f"pascal-reduction c={c} v={v}", True, pascal_entry_check(c, v)

@@ -23,7 +23,7 @@ import pytest
 
 import hypersolids
 from hypersolids import GridBounds, diagonal_sum, hypersolid, kernel
-from hypersolids.cli import _digits, build_parser
+from hypersolids.cli import _digits, _integer, build_parser
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -513,11 +513,11 @@ _LAYERS = {f"hypersolids.{name}" for name in ("search", "sums", "triangle", "ver
     "argv,absent",
     [
         (["eval", "--v", "3", "--d", "2", "--n", "5"],
-         {*_LAYERS, "hypersolids._primes", "dataclasses", "json"}),
+         {*_LAYERS, "hypersolids._primes", "dataclasses", "decimal", "json"}),
         (["triangle", "--d", "1", "--rows", "5"],
-         {*_LAYERS - {"hypersolids.triangle"}, "dataclasses", "json"}),
+         {*_LAYERS - {"hypersolids.triangle"}, "dataclasses", "decimal", "json"}),
         (["sums", "--s", "6", "--fix", "v=2"],
-         {*_LAYERS - {"hypersolids.sums"}, "dataclasses", "json"}),
+         {*_LAYERS - {"hypersolids.sums"}, "dataclasses", "decimal", "json"}),
         (["verify", "--suite", "oracle", "--vmax", "2", "--dmax", "2", "--nmax", "2"],
          {"hypersolids.search", "concurrent.futures", "dataclasses"}),
     ],
@@ -624,6 +624,52 @@ def test_represent_json(run_cli):
 def test_represent_usage_errors(run_cli):
     assert run_cli("represent", "--value", "0")[0] == 2
     assert run_cli("represent", "--value", "10", "--vmin", "1")[0] == 2  # needs --nmax
+
+
+def test_represent_a_target_past_the_digit_limit(run_cli):
+    # 10**4400 has 4401 digits, past the 4300 that int() reads by default
+    target = "1" + "0" * 4400
+    with _digit_limit(4300):
+        code, out, err = run_cli("represent", "--value", target)
+        assert (code, out, err) == (0, "no representations in the box\n", "")
+        code, out, err = run_cli("represent", "--value", f" +{target} ", "--format", "json")
+        assert sys.get_int_max_str_digits() == 4300  # no process-wide change
+    assert (code, err) == (0, "")
+    assert json.loads(out)["query"]["value"] == target
+
+
+_LONG = "9" * 4400
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["120", " 120\t", "+120", "-120", "0_120", "1_2_0", "\u0661\u0662\u0660", "007",
+     _LONG, f"  -{_LONG}\n", "1_" + _LONG, "\u0661" * 4400,
+     "", " ", "+", "1__20", "_120", "120_", "1e2", "12.0", "0x78", "NaN", "- 120", "1 2",
+     _LONG + "_", "1__" + _LONG, _LONG + ".0", _LONG + "e0"],
+    ids=lambda text: repr(text) if len(text) < 20 else f"{len(text)}-chars",
+)
+def test_integer_options_take_exactly_what_int_takes(text):
+    with _digit_limit(0):
+        try:
+            want = int(text)
+        except ValueError:
+            want = None
+    with _digit_limit(4300):
+        try:
+            got = _integer(text)
+        except ValueError:
+            got = None
+    assert got == want
+
+
+@pytest.mark.parametrize("text", ["abc", "1__20", "1e2", "1__" + _LONG],
+                         ids=["abc", "double-underscore", "exponent", "long"])
+def test_a_non_integer_option_keeps_the_argparse_message(run_cli, text):
+    with _digit_limit(4300):
+        code, out, err = run_cli("represent", "--value", text)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --value: invalid int value: {text!r}\n")
 
 
 # ------------------------------------------------- cross-cutting contract

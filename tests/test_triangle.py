@@ -200,6 +200,25 @@ def test_compile_row_is_just_a_sum_below_rank_two():
     assert hypersolid(5, 3, 1) == 1
 
 
+@pytest.mark.parametrize(
+    ("d", "n", "v"),
+    [(0, 0, 0), (0, 1, 0), (0, 2, 0), (5, 0, 0), (5, 1, 0), (5, 2, 0), (0, 0, 6), (0, 1, 6),
+     (0, 2, 6), (3, 2, 9), (2**32 - 1, 2**32 - 1, 1), (2**32 - 1, 0, 4)],
+)
+def test_compile_row_edges_match_literal_sums(d, n, v):
+    assert compile_row(d, n, v) == sum(hypersolid(r, d, n) for r in range(v + 1))
+
+
+def test_compile_row_rejects_each_argument_with_its_own_message():
+    for args, message in [((-1, 2, 2), "d must be in [0, 2**32), got -1"),
+                          ((1, 2**32, 2), "n must be in [0, 2**32), got 4294967296"),
+                          ((1, 2, True), "v must be an integer, got True"),
+                          ((1, 2.0, 2), "n must be an integer, got 2.0")]:
+        with pytest.raises(RangeError) as err:
+            compile_row(*args)
+        assert str(err.value) == message
+
+
 # ------------------------------------------------------------- diagonals
 
 
@@ -261,6 +280,28 @@ def test_diagonal_preconditions():
         diagonal_sum(1, 2, 1)
     with pytest.raises(RangeError):
         recurrence_sequence(1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    ("d", "m", "k"),
+    [(0, 2, 2), (0, 3, 2), (4, 5, 3), (4, 9, 8), (4, 3, 9), (4, 4, 12), (0, 4, 12), (7, 2, 30),
+     (2**32 - 1, 2**32 - 1, 2**32 - 1), (3, 2**32 - 1, 2**32 - 1), (3, 2**31, 2**32 - 1)],
+)
+def test_diagonal_sum_edges_match_literal_sums(d, m, k):
+    # k < m leaves only the dimension-0 cell; a multiple of m ends on a rank-0 cell
+    literal = sum(hypersolid(v, d, k - m * v) for v in range(k // m + 1))
+    assert diagonal_sum(d, m, k) == literal
+
+
+def test_diagonal_sum_rejects_each_argument_with_its_own_message():
+    for args, message in [((1, 1, 5), "m must be in [2, 2**32), got 1"),
+                          ((1, 2, 1), "k must be in [2, 2**32), got 1"),
+                          ((2**32, 2, 5), "d must be in [0, 2**32), got 4294967296"),
+                          ((1, 2, 2**32), "k must be in [2, 2**32), got 4294967296"),
+                          ((1, False, 5), "m must be an integer, got False")]:
+        with pytest.raises(RangeError) as err:
+            diagonal_sum(*args)
+        assert str(err.value) == message
 
 
 # ------------------------------------------------------ Pascal reduction

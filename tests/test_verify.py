@@ -10,16 +10,56 @@ from __future__ import annotations
 
 import copy
 import pickle
+from itertools import accumulate
 
 import pytest
 
-from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, run_suite, run_suites, sums,
-                         verify)
+from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, Triangle, run_suite, run_suites,
+                         sums, verify)
 from hypersolids.kernel import DEFAULT_BOUNDS
 from hypersolids.verify import SUITES, VerifyOutcome, _run_cases
 
 SMALL = GridBounds(v_max=3, d_max=3, n_max=4, c_max=8, s_max=10, m_max=8)
 ENLARGED = GridBounds(v_max=12, d_max=10, n_max=18, c_max=34, s_max=60, m_max=45)
+
+
+def naive_corollary_cases(b):
+    """The corollaries sweep as it was before its values were shared: every
+    case evaluates what it reads itself.  It reads through the names the
+    shipped sweep uses, so a value patched there reaches this judge too."""
+    for d in range(b.d_max + 1):
+        for c in range(3, b.c_max + 1):
+            for v in range(1, c):
+                yield (f"adjacency d={d} c={c} v={v}", verify.hypersolid(v, d, c - v),
+                       verify.hypersolid(v, d, c - 1 - v) + verify.hypersolid(v - 1, d, c - v))
+        for v in range(2, b.v_max + 1):
+            column = tuple(verify.hypersolid(v, d, n) for n in range(b.n_max + 1))
+            below = accumulate(verify.hypersolid(v - 1, d, n) for n in range(b.n_max + 1))
+            yield f"column-compilation d={d} v={v}", column, tuple(below)
+        for n in range(2, b.n_max + 1):
+            for v in range(b.v_max + 1):
+                yield (f"row-compilation d={d} n={n} v={v}",
+                       verify.hypersolid(v, d, n + 1), verify.compile_row(d, n, v))
+        triangle = verify.build_triangle(d, b.c_max)
+        for c in range(b.c_max + 1):
+            yield f"row-total d={d} c={c}", sum(triangle.row(c)), verify.row_sum(d, c)
+            if c >= 3:
+                yield (f"row-doubling d={d} c={c}", verify.row_sum(d, c),
+                       2 * verify.row_sum(d, c - 1))
+                yield (f"row-cumulative d={d} c={c}", verify.row_sum(d, c) - (d + 1),
+                       sum(verify.row_sum(d, j) for j in range(2, c)))
+        seeded = [d, d + 1]
+        while len(seeded) < 29:
+            seeded.append(seeded[-1] + seeded[-2])
+        yield (f"diagonal-seeded d={d} m=2", tuple(seeded),
+               tuple(verify.recurrence_sequence(d, 2, 29)))
+        for m in (2, 3, 4):
+            for k in range(m + 2, 31):
+                yield (f"diagonal-recurrence d={d} m={m} k={k}", verify.diagonal_sum(d, m, k),
+                       verify.diagonal_sum(d, m, k - 1) + verify.diagonal_sum(d, m, k - m))
+    for c in range(b.c_max + 1):
+        for v in range(c + 1):
+            yield f"pascal-reduction c={c} v={v}", True, verify.pascal_entry_check(c, v)
 
 
 def test_oracle_counts_cases_exactly():
@@ -210,3 +250,89 @@ def test_failure_path_reports_sorted_by_case_key():
     assert outcome.failures == (("m-case", "yes", "no"), ("z-case", "1", "2"))
     # identical report whatever order the cases come in
     assert _run_cases("doctored", reversed(cases)) == outcome
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        SMALL,
+        GridBounds(),
+        ENLARGED,
+        GridBounds(v_max=4, d_max=2, n_max=12, c_max=6),  # c_max < n_max + 1
+        GridBounds(v_max=9, d_max=2, n_max=3, c_max=5),  # v_max > c_max
+        GridBounds(v_max=12, d_max=1, n_max=14, c_max=3),  # both
+        GridBounds(v_max=3, d_max=2, n_max=4, c_max=0),
+        GridBounds(v_max=3, d_max=2, n_max=4, c_max=1),
+        GridBounds(v_max=3, d_max=2, n_max=4, c_max=2),
+        GridBounds(v_max=3, d_max=2, n_max=4, c_max=3),
+        GridBounds(0, 0, 0, 0, 0, 0),
+    ],
+    ids=["small", "default", "enlarged", "short-rows", "tall-columns", "both", "c0", "c1", "c2",
+         "c3", "zero"],
+)
+def test_corollary_stream_equals_the_naive_sweep(bounds):
+    assert list(verify._corollary_cases(bounds)) == list(naive_corollary_cases(bounds))
+
+
+def _off_by_one_at(monkeypatch, name, at):
+    honest = getattr(verify, name)
+
+    def doctored(*args):
+        return honest(*args) + (args == at)
+
+    monkeypatch.setattr(verify, name, doctored)
+
+
+@pytest.mark.parametrize(
+    ("name", "at", "keys"),
+    [
+        ("hypersolid", (2, 1, 3), [
+            "adjacency d=1 c=5 v=2", "adjacency d=1 c=6 v=2", "adjacency d=1 c=6 v=3",
+            "column-compilation d=1 v=2", "column-compilation d=1 v=3",
+            "row-compilation d=1 n=2 v=2",
+        ]),
+        ("hypersolid", (0, 3, 7), ["adjacency d=3 c=8 v=1"]),
+        # the last value both adjacency and the row compilations read
+        ("hypersolid", (3, 2, 5), ["adjacency d=2 c=8 v=3", "row-compilation d=2 n=4 v=3"]),
+        ("row_sum", (1, 5), [
+            "row-cumulative d=1 c=5", "row-cumulative d=1 c=6", "row-cumulative d=1 c=7",
+            "row-cumulative d=1 c=8", "row-doubling d=1 c=5", "row-doubling d=1 c=6",
+            "row-total d=1 c=5",
+        ]),
+        ("diagonal_sum", (2, 3, 10), [
+            "diagonal-recurrence d=2 m=3 k=10", "diagonal-recurrence d=2 m=3 k=11",
+            "diagonal-recurrence d=2 m=3 k=13",
+        ]),
+        # k + m past 30 reads the wrong total in two cases only
+        ("diagonal_sum", (0, 4, 28), [
+            "diagonal-recurrence d=0 m=4 k=28", "diagonal-recurrence d=0 m=4 k=29",
+        ]),
+    ],
+    ids=["closed", "closed-dimension-0", "closed-corner", "row-total", "diagonal", "diagonal-late"],
+)
+def test_a_wrong_value_fails_exactly_the_cases_that_read_it(monkeypatch, name, at, keys):
+    cases_run = run_suite("corollaries", bounds=SMALL).cases_run
+    _off_by_one_at(monkeypatch, name, at)
+    outcome = run_suite("corollaries", bounds=SMALL)
+    assert [key for key, _, _ in outcome.failures] == keys
+    assert outcome.cases_run == cases_run
+    # the expected and actual sides are those of a sweep that evaluates each case alone
+    assert outcome == _run_cases("corollaries", naive_corollary_cases(SMALL))
+
+
+def test_a_wrong_triangle_cell_fails_only_its_row_total(monkeypatch):
+    # the adjacency cases judge the rule triangles are built by, so they read
+    # scalar closed-form values and never a triangle
+    honest = verify.build_triangle
+
+    def doctored(d, c_max):
+        triangle = honest(d, c_max)
+        if d != 1:
+            return triangle
+        rows = [list(row) for row in triangle.rows]
+        rows[6][2] += 1
+        return Triangle(d, c_max, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify, "build_triangle", doctored)
+    outcome = run_suite("corollaries", bounds=SMALL)
+    assert [key for key, _, _ in outcome.failures] == ["row-total d=1 c=6"]
