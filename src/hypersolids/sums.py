@@ -33,15 +33,12 @@ catalogued in :data:`LEMMAS` and individually checkable via
 from __future__ import annotations
 
 import math
-from itertools import count, repeat, starmap
-from math import comb
+from itertools import accumulate, count, islice, repeat, starmap
+from math import comb, perm
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .kernel import (
-    IndexTriple, RangeError, _check, _exact_int, _Record, _set_field, _triangle_rows, binomial,
-    permutation,
-)
+from .kernel import IndexTriple, RangeError, _check, _Record, _set_field, _triangle_rows, binomial
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
 
@@ -290,49 +287,76 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
 
 
 class _Lemma(NamedTuple):
+    """One identity ``lhs == rhs`` over the integer parameters ``params`` in ``domain``.
+
+    A lemma whose literal sum gains one term as one parameter grows names
+    that parameter ``along``.  ``running`` takes the other parameters, in
+    order, and returns the first value of ``along`` in the domain with an
+    iterator of the partial sums from there on, one per value.  The sides of
+    such a lemma take the partial sum at their parameters as one more
+    argument; without ``along`` they take the parameters alone.
+    """
+
     params: tuple[str, ...]
     domain: Callable[..., bool]
     lhs: Callable[..., int]
     rhs: Callable[..., int]
+    along: str | None = None
+    running: Callable[..., tuple[int, Iterator[int]]] | None = None
 
 
 #: The identities the closed forms are built from, each stated as an
-#: exactly evaluable left side (a literal sum) and right side (its closed
-#: form).  Keys are stable tags usable from the command line and tests.
-#: The binomial sums call ``math.comb`` directly: their stated domains keep
-#: 0 <= k <= n in every term, so they need no zero extension.  The right
-#: sides keep ``binomial``, and ``permutation_ladder`` keeps ``permutation``,
-#: whose m = 0 case reads P(j, -1) = 0.
+#: exactly evaluable left side and right side, one of them a literal sum and
+#: the other its closed form.  Keys are stable tags usable from the command
+#: line and tests.  Every literal sum that extends a shorter one is stated
+#: once, as a running sum: ``accumulate`` over a ``map`` of its terms along
+#: the parameter that extends it, so a sweep reads every partial sum of one
+#: pass and one case reads one element.  ``row_power`` and
+#: ``weighted_stick`` change every term with their parameters, so each case
+#: sums its own ``map``.  The terms call ``math.comb`` and ``math.perm``
+#: directly: the stated domains keep 0 <= k <= n in every term, and the
+#: ladder's m = 0 terms P(j, -1), zero by extension, are a running sum of
+#: zeros.  The closed forms keep ``binomial``.
 LEMMAS: dict[str, _Lemma] = {
     "sum_r": _Lemma(
         ("n",),
         lambda n: n >= 0,
-        lambda n: sum(range(1, n + 1)),
-        lambda n: n * (n + 1) // 2,
+        lambda n, total: total,
+        lambda n, total: n * (n + 1) // 2,
+        "n",
+        lambda: (0, accumulate(count())),
     ),
     "sum_r2": _Lemma(
         ("n",),
         lambda n: n >= 0,
-        lambda n: sum(r * r for r in range(1, n + 1)),
-        lambda n: n * (n + 1) * (2 * n + 1) // 6,
+        lambda n, total: total,
+        lambda n, total: n * (n + 1) * (2 * n + 1) // 6,
+        "n",
+        lambda: (0, accumulate(map(mul, count(), count()))),
     ),
     "sum_r3": _Lemma(
         ("n",),
         lambda n: n >= 0,
-        lambda n: sum(r**3 for r in range(1, n + 1)),
-        lambda n: (n * (n + 1) // 2) ** 2,
+        lambda n, total: total,
+        lambda n, total: (n * (n + 1) // 2) ** 2,
+        "n",
+        lambda: (0, accumulate(map(pow, count(), repeat(3)))),
     ),
     "hockey_stick": _Lemma(
         ("M", "m"),
         lambda M, m: 0 <= m <= M,
-        lambda M, m: sum(map(comb, range(m, M + 1), repeat(m))),
-        lambda M, m: binomial(M + 1, m + 1),
+        lambda M, m, total: total,
+        lambda M, m, total: binomial(M + 1, m + 1),
+        "M",
+        lambda m: (m, accumulate(map(comb, count(m), repeat(m)))),
     ),
     "diagonal_stick": _Lemma(
         ("M", "m"),
         lambda M, m: M >= 0 and m >= 0,
-        lambda M, m: sum(map(comb, range(M, M + m + 1), range(m + 1))),
-        lambda M, m: binomial(M + m + 1, m),
+        lambda M, m, total: total,
+        lambda M, m, total: binomial(M + m + 1, m),
+        "m",
+        lambda M: (0, accumulate(map(comb, count(M), count()))),
     ),
     "row_power": _Lemma(
         ("M",),
@@ -343,38 +367,59 @@ LEMMAS: dict[str, _Lemma] = {
     "weighted_stick": _Lemma(
         ("M", "m"),
         lambda M, m: 0 <= m < M,
-        lambda M, m: sum(j * comb(M - j, m) for j in range(1, M - m + 1)),
+        # j * C(M - j, m) for j = 1..M - m
+        lambda M, m: sum(map(mul, count(1), map(comb, range(M - 1, m - 1, -1), repeat(m)))),
         lambda M, m: binomial(M + 1, m + 2),
     ),
     "permutation_ladder": _Lemma(
         ("M", "m"),
         lambda M, m: 0 <= m <= M,
-        lambda M, m: permutation(M + 1, m),
-        lambda M, m: math.factorial(m)
-        + m * sum(permutation(j, m - 1) for j in range(m, M + 1)),
+        lambda M, m, total: perm(M + 1, m),
+        lambda M, m, total: math.factorial(m) + m * total,
+        "M",
+        lambda m: (m, accumulate(map(perm, count(m), repeat(m - 1))) if m else repeat(0)),
     ),
     "geometric": _Lemma(
         ("R",),
         lambda R: R >= 0,
-        lambda R: sum(2**r for r in range(R + 1)),
-        lambda R: 2 ** (R + 1) - 1,
+        lambda R, total: total,
+        lambda R, total: 2 ** (R + 1) - 1,
+        "R",
+        lambda: (0, accumulate(map(pow, repeat(2), count()))),
     ),
     "weighted_geometric": _Lemma(
         ("R",),
         lambda R: R >= 0,
-        lambda R: sum(r * 2**r for r in range(R + 1)),
-        lambda R: 2 + (R - 1) * 2 ** (R + 1),
+        lambda R, total: total,
+        lambda R, total: 2 + (R - 1) * 2 ** (R + 1),
+        "R",
+        lambda: (0, accumulate(map(mul, count(), map(pow, repeat(2), count())))),
     ),
 }
+
+
+def _sides(lemma: _Lemma, args: Sequence[int]) -> tuple[int, int]:
+    """Both sides of ``lemma`` at ``args``, which lie in its domain.
+
+    A running sum is read at one element: the one for ``args``' value of
+    the parameter it runs along.
+    """
+    if lemma.along is None:
+        return lemma.lhs(*args), lemma.rhs(*args)
+    i = lemma.params.index(lemma.along)
+    first, partials = lemma.running(*args[:i], *args[i + 1:])
+    total = next(islice(partials, args[i] - first, None))
+    return lemma.lhs(*args, total), lemma.rhs(*args, total)
 
 
 def lemma_check(tag: str, params: Mapping[str, int]) -> bool:
     """Evaluate both sides of one catalogued identity exactly.
 
     ``params`` maps the identity's bound variables (see ``LEMMAS[tag].params``)
-    to integer values.  Returns True iff the two sides agree; a parameter
+    to integer values.  Returns True iff the two sides agree.  A parameter
     that is not an exact integer (bool and float included) or lies outside
-    the identity's stated domain raises :class:`RangeError`.
+    [0, 2**32) raises the :class:`RangeError` every coordinate raises; one
+    outside the identity's stated domain raises :class:`RangeError` too.
     """
     try:
         lemma = LEMMAS[tag]
@@ -387,7 +432,8 @@ def lemma_check(tag: str, params: Mapping[str, int]) -> bool:
             f"lemma {tag!r} takes parameters {lemma.params}; "
             f"missing {missing}, unexpected {extra}"
         )
-    args = [_exact_int(p, params[p]) for p in lemma.params]
+    args = [_check(p, params[p]) for p in lemma.params]
     if not lemma.domain(*args):
         raise RangeError(f"parameters out of domain for lemma {tag!r}: {dict(params)}")
-    return lemma.lhs(*args) == lemma.rhs(*args)
+    lhs, rhs = _sides(lemma, args)
+    return lhs == rhs

@@ -2,10 +2,13 @@
 
 Each suite replays a family of exact identities over a finite grid and
 records every violation as (case, expected, actual).  A suite is a
-generator that computes each case where it is listed, in one thread (the
-corollaries suite first evaluates, once per difference, the values its
-cases share); failures are sorted by case key, so the report does not
-depend on the order the cases were produced in.
+generator that computes each case where it is listed, in one thread.  A
+value several cases read is evaluated once: the gnomons suite evaluates
+each S(v, d, n) of its grid once, the corollaries suite evaluates its
+values once per difference, and the lemmas suite reads each literal sum
+that extends a shorter one from one running sum.  Failures are sorted by
+case key, so the report does not depend on the order the cases were
+produced in.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .kernel import (
 from .sums import (
     LEMMAS,
     _simplex_rows,
-    lemma_check,
     sum_fixed_s,
     sum_fixed_sd,
     sum_fixed_sn,
@@ -116,19 +118,26 @@ def _gnomon_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
     # Each decomposition needs rank >= 1 plus its own stepped coordinate
     # >= 1, and all three hold exactly on v + n >= 3 (at v = n = 1 the
     # rank/dimension steps break, at v = 0, n = 2 the difference step does).
+    # Each S(v, d, n) of the grid is evaluated once, a dimension at a time,
+    # and read by every step case that names it; the gnomons are what the
+    # cases judge, so each case calls its own.
+    ds, ns = range(b.d_max + 1), range(b.n_max + 1)
+    below: list[list[int]] = []  # closed[d][n] of dimension v - 1
     for v in range(b.v_max + 1):
-        for d in range(b.d_max + 1):
-            for n in range(1, b.n_max + 1):
-                if v + n < 3:
-                    continue
+        closed = [[hypersolid(v, d, n) for n in ns] for d in ds]
+        for d in ds:
+            row = closed[d]
+            for n in range(max(1, 3 - v), b.n_max + 1):
+                value = row[n]
                 if v >= 1:
-                    yield (f"rank-step v={v} d={d} n={n}", hypersolid(v, d, n),
-                           hypersolid(v, d, n - 1) + n_gnomon(v, d, n))
+                    yield (f"rank-step v={v} d={d} n={n}", value,
+                           row[n - 1] + n_gnomon(v, d, n))
                     yield (f"dimension-step v={v} d={d} n={n}",
-                           hypersolid(v, d, n) - hypersolid(v - 1, d, n), v_gnomon(v, d, n))
+                           value - below[d][n], v_gnomon(v, d, n))
                 if d >= 1:
-                    yield (f"difference-step v={v} d={d} n={n}", hypersolid(v, d, n),
-                           hypersolid(v, d - 1, n) + d_gnomon(v, d, n))
+                    yield (f"difference-step v={v} d={d} n={n}", value,
+                           closed[d - 1][n] + d_gnomon(v, d, n))
+        below = closed
 
 
 # ----------------------------------------------------------- corollaries
@@ -210,12 +219,30 @@ def _theorem_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
 
 
 def _lemma_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
+    # The grid is walked in product order, so a lemma with a running sum
+    # meets the parameter it runs along in rising order from the first value
+    # in its domain, whatever the others hold: each case takes the next
+    # partial sum of one pass per value of the other parameters.  The passes
+    # are held side by side, one running sum each, never as a table.
+    grid = range(b.m_max + 1)
     for tag, lemma in LEMMAS.items():
-        for values in product(range(b.m_max + 1), repeat=len(lemma.params)):
-            if lemma.domain(*values):
-                params = dict(zip(lemma.params, values))
-                key = f"{tag} " + " ".join(f"{p}={x}" for p, x in params.items())
-                yield key, True, lemma_check(tag, params)
+        template = " ".join([tag, *(f"{p}={{}}" for p in lemma.params)])
+        if lemma.along is None:
+            for args in product(grid, repeat=len(lemma.params)):
+                if lemma.domain(*args):
+                    yield template.format(*args), True, lemma.lhs(*args) == lemma.rhs(*args)
+            continue
+        i = lemma.params.index(lemma.along)
+        passes: dict[tuple[int, ...], Iterator[int]] = {}
+        for args in product(grid, repeat=len(lemma.params)):
+            if lemma.domain(*args):
+                others = args[:i] + args[i + 1:]
+                partials = passes.get(others)
+                if partials is None:
+                    partials = passes[others] = lemma.running(*others)[1]
+                total = next(partials)
+                holds = lemma.lhs(*args, total) == lemma.rhs(*args, total)
+                yield template.format(*args), True, holds
 
 
 _SUITE_BUILDERS: dict[str, Callable[[GridBounds], Iterator[tuple[str, object, object]]]] = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+from itertools import product, repeat
 
 import pytest
 
@@ -27,6 +28,7 @@ from hypersolids import (
     sum_fixed_sn,
     sum_fixed_sv,
 )
+from hypersolids.kernel import binomial, permutation
 
 # Every nonzero value S(v, d, n) with v + d + n == 6, keyed by (v, d, n).
 CENSUS_S6 = {
@@ -534,6 +536,51 @@ class Index:
         return self.value
 
 
+#: Each lemma's two sides as they were written before the literal sums
+#: became running sums: every case adds up its own terms.
+OLD_LEMMA_SIDES = {
+    "sum_r": (lambda n: sum(range(1, n + 1)), lambda n: n * (n + 1) // 2),
+    "sum_r2": (lambda n: sum(r * r for r in range(1, n + 1)),
+               lambda n: n * (n + 1) * (2 * n + 1) // 6),
+    "sum_r3": (lambda n: sum(r**3 for r in range(1, n + 1)),
+               lambda n: (n * (n + 1) // 2) ** 2),
+    "hockey_stick": (lambda M, m: sum(map(math.comb, range(m, M + 1), repeat(m))),
+                     lambda M, m: binomial(M + 1, m + 1)),
+    "diagonal_stick": (lambda M, m: sum(map(math.comb, range(M, M + m + 1), range(m + 1))),
+                       lambda M, m: binomial(M + m + 1, m)),
+    "row_power": (lambda M: sum(map(math.comb, repeat(M), range(M + 1))), lambda M: 2**M),
+    "weighted_stick": (lambda M, m: sum(j * math.comb(M - j, m) for j in range(1, M - m + 1)),
+                       lambda M, m: binomial(M + 1, m + 2)),
+    "permutation_ladder": (
+        lambda M, m: permutation(M + 1, m),
+        lambda M, m: math.factorial(m) + m * sum(permutation(j, m - 1) for j in range(m, M + 1)),
+    ),
+    "geometric": (lambda R: sum(2**r for r in range(R + 1)), lambda R: 2 ** (R + 1) - 1),
+    "weighted_geometric": (lambda R: sum(r * 2**r for r in range(R + 1)),
+                           lambda R: 2 + (R - 1) * 2 ** (R + 1)),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(OLD_LEMMA_SIDES))
+def test_lemma_sides_equal_the_literal_sums_term_by_term(tag):
+    lemma = LEMMAS[tag]
+    old_lhs, old_rhs = OLD_LEMMA_SIDES[tag]
+    cases = [args for args in product(range(41), repeat=len(lemma.params)) if lemma.domain(*args)]
+    assert cases
+    for args in cases:
+        assert sums._sides(lemma, args) == (old_lhs(*args), old_rhs(*args)), args
+
+
+@pytest.mark.parametrize("tag", [tag for tag, lemma in LEMMAS.items() if lemma.along])
+def test_a_running_sum_starts_at_the_first_value_in_the_domain(tag):
+    lemma = LEMMAS[tag]
+    i = lemma.params.index(lemma.along)
+    for others in product(range(8), repeat=len(lemma.params) - 1):
+        inside = [k for k in range(20) if lemma.domain(*others[:i], k, *others[i:])]
+        first, _ = lemma.running(*others)
+        assert first == inside[0] and inside == list(range(first, 20)), others
+
+
 @pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, False, None])
 def test_lemma_parameters_must_be_exact_integers(bad):
     with pytest.raises(RangeError) as err:
@@ -542,6 +589,21 @@ def test_lemma_parameters_must_be_exact_integers(bad):
     with pytest.raises(RangeError) as err:
         lemma_check("hockey_stick", {"M": 4, "m": bad})
     assert str(err.value) == f"m must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [2**32, 2**40, -1])
+def test_lemma_parameters_must_lie_in_the_coordinate_domain(bad):
+    # checked before any term is added: at 2**40 the literal sum alone
+    # would be about 10**12 additions
+    with pytest.raises(RangeError) as err:
+        lemma_check("sum_r", {"n": bad})
+    assert str(err.value) == f"n must be in [0, 2**32), got {bad}"
+    with pytest.raises(RangeError) as err:
+        lemma_check("hockey_stick", {"M": bad, "m": 2})
+    assert str(err.value) == f"M must be in [0, 2**32), got {bad}"
+    with pytest.raises(RangeError) as err:
+        lemma_check("permutation_ladder", {"M": 4, "m": bad})
+    assert str(err.value) == f"m must be in [0, 2**32), got {bad}"
 
 
 def test_lemma_parameters_take_integer_like_objects():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import pickle
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
@@ -21,6 +21,36 @@ from hypersolids.verify import SUITES, VerifyOutcome, _run_cases
 
 SMALL = GridBounds(v_max=3, d_max=3, n_max=4, c_max=8, s_max=10, m_max=8)
 ENLARGED = GridBounds(v_max=12, d_max=10, n_max=18, c_max=34, s_max=60, m_max=45)
+
+
+def naive_lemma_cases(b):
+    """The lemmas sweep as it was before its literal sums were shared: one
+    ``lemma_check`` per case, with the key built by ``join``."""
+    for tag, lemma in LEMMAS.items():
+        for values in product(range(b.m_max + 1), repeat=len(lemma.params)):
+            if lemma.domain(*values):
+                params = dict(zip(lemma.params, values))
+                key = f"{tag} " + " ".join(f"{p}={x}" for p, x in params.items())
+                yield key, True, sums.lemma_check(tag, params)
+
+
+def naive_gnomon_cases(b):
+    """The gnomons sweep as it was before its values were shared: every case
+    evaluates what it reads, through the names the shipped sweep uses."""
+    for v in range(b.v_max + 1):
+        for d in range(b.d_max + 1):
+            for n in range(1, b.n_max + 1):
+                if v + n < 3:
+                    continue
+                if v >= 1:
+                    yield (f"rank-step v={v} d={d} n={n}", verify.hypersolid(v, d, n),
+                           verify.hypersolid(v, d, n - 1) + verify.n_gnomon(v, d, n))
+                    yield (f"dimension-step v={v} d={d} n={n}",
+                           verify.hypersolid(v, d, n) - verify.hypersolid(v - 1, d, n),
+                           verify.v_gnomon(v, d, n))
+                if d >= 1:
+                    yield (f"difference-step v={v} d={d} n={n}", verify.hypersolid(v, d, n),
+                           verify.hypersolid(v, d - 1, n) + verify.d_gnomon(v, d, n))
 
 
 def naive_corollary_cases(b):
@@ -89,8 +119,9 @@ def test_default_bounds_oracle_case_count():
     [
         (GridBounds(), (1287, 3140, 6144, 2691, 2604)),
         (ENLARGED, (2717, 7040, 11300, 5841, 5589)),
+        (GridBounds(m_max=60), (1287, 3140, 6144, 2691, 9699)),
     ],
-    ids=["default", "enlarged"],
+    ids=["default", "enlarged", "m60"],
 )
 def test_case_counts_of_every_suite(bounds, counts):
     outcomes = run_suites("all", bounds=bounds)
@@ -274,13 +305,13 @@ def test_corollary_stream_equals_the_naive_sweep(bounds):
     assert list(verify._corollary_cases(bounds)) == list(naive_corollary_cases(bounds))
 
 
-def _off_by_one_at(monkeypatch, name, at):
-    honest = getattr(verify, name)
+def _off_by_one_at(monkeypatch, name, at, module=verify):
+    honest = getattr(module, name)
 
     def doctored(*args):
         return honest(*args) + (args == at)
 
-    monkeypatch.setattr(verify, name, doctored)
+    monkeypatch.setattr(module, name, doctored)
 
 
 @pytest.mark.parametrize(
@@ -336,3 +367,89 @@ def test_a_wrong_triangle_cell_fails_only_its_row_total(monkeypatch):
     monkeypatch.setattr(verify, "build_triangle", doctored)
     outcome = run_suite("corollaries", bounds=SMALL)
     assert [key for key, _, _ in outcome.failures] == ["row-total d=1 c=6"]
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 2, 3, 8, 30, 45, 60])
+def test_lemma_stream_equals_the_naive_sweep(m_max):
+    bounds = GridBounds(m_max=m_max)
+    assert list(verify._lemma_cases(bounds)) == list(naive_lemma_cases(bounds))
+
+
+@pytest.mark.parametrize(
+    ("name", "at", "keys"),
+    [
+        # C(5, 2) is a term of the hockey stick with m = 2 from M = 5 on, of
+        # the diagonal stick with M = 3 from m = 2 on, of row 5 and of the
+        # weighted stick with m = 2 from M = 6 on
+        ("comb", (5, 2), [
+            *(f"diagonal_stick M=3 m={m}" for m in range(2, 9)),
+            *(f"hockey_stick M={M} m=2" for M in range(5, 9)),
+            "row_power M=5",
+            *(f"weighted_stick M={M} m=2" for M in range(6, 9)),
+        ]),
+        # P(4, 2) is the ladder's left side at M = 3, m = 2 and a term of its
+        # running sum with m = 3 from M = 4 on
+        ("perm", (4, 2), [
+            "permutation_ladder M=3 m=2",
+            *(f"permutation_ladder M={M} m=3" for M in range(4, 9)),
+        ]),
+    ],
+    ids=["comb", "perm"],
+)
+def test_a_wrong_lemma_term_fails_exactly_the_partial_sums_that_hold_it(
+        monkeypatch, name, at, keys):
+    cases_run = run_suite("lemmas", bounds=SMALL).cases_run
+    _off_by_one_at(monkeypatch, name, at, module=sums)
+    outcome = run_suite("lemmas", bounds=SMALL)
+    assert [key for key, _, _ in outcome.failures] == sorted(keys)
+    assert outcome.cases_run == cases_run
+    assert outcome == _run_cases("lemmas", naive_lemma_cases(SMALL))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        SMALL,
+        GridBounds(),
+        ENLARGED,
+        GridBounds(0, 0, 0, 0, 0, 0),
+        GridBounds(v_max=0),
+        GridBounds(n_max=0),
+        GridBounds(n_max=1),
+        GridBounds(n_max=2),
+    ],
+    ids=["small", "default", "enlarged", "zero", "v0", "n0", "n1", "n2"],
+)
+def test_gnomon_stream_equals_the_naive_sweep(bounds):
+    assert list(verify._gnomon_cases(bounds)) == list(naive_gnomon_cases(bounds))
+
+
+@pytest.mark.parametrize(
+    ("at", "keys"),
+    [
+        ((2, 1, 3), [
+            "difference-step v=2 d=1 n=3", "difference-step v=2 d=2 n=3",
+            "dimension-step v=2 d=1 n=3", "dimension-step v=3 d=1 n=3",
+            "rank-step v=2 d=1 n=3", "rank-step v=2 d=1 n=4",
+        ]),
+        # dimension 0 has only difference steps, and dimension 1 reads it
+        ((0, 2, 4), [
+            "difference-step v=0 d=2 n=4", "difference-step v=0 d=3 n=4",
+            "dimension-step v=1 d=2 n=4",
+        ]),
+        # the last value of the grid is read only by its own three steps
+        ((3, 3, 4), [
+            "difference-step v=3 d=3 n=4", "dimension-step v=3 d=3 n=4", "rank-step v=3 d=3 n=4",
+        ]),
+        # rank 0 of dimension 1 is evaluated with the grid but read by no case
+        ((1, 2, 0), []),
+    ],
+    ids=["inner", "dimension-0", "corner", "unread"],
+)
+def test_a_wrong_value_fails_exactly_the_gnomon_steps_that_read_it(monkeypatch, at, keys):
+    cases_run = run_suite("gnomons", bounds=SMALL).cases_run
+    _off_by_one_at(monkeypatch, "hypersolid", at)
+    outcome = run_suite("gnomons", bounds=SMALL)
+    assert [key for key, _, _ in outcome.failures] == keys
+    assert outcome.cases_run == cases_run
+    assert outcome == _run_cases("gnomons", naive_gnomon_cases(SMALL))
