@@ -18,7 +18,11 @@ Two independent evaluation routes are provided and agree everywhere:
   of prime powers from :mod:`hypersolids._primes`, which needs none of the
   big-integer divisions that make ``math.comb`` slow there;
 * ``summation`` - the literal construction: start from the one-dimensional
-  progression and apply ``v - 1`` rounds of prefix summation.
+  progression and apply ``v - 1`` rounds of prefix summation.  The rounds
+  are ``itertools.accumulate`` iterators chained over the progression, so
+  every prefix of every round is still added, but no finished round is
+  kept: only the last sum of the last round is read.  A chain longer than
+  ``_CHAIN_ROUNDS`` rounds is cut by storing one round in a list.
 
 A whole sequence slice (fixed v and d, consecutive ranks) is the same closed
 form over one Pascal column: ``_sequence`` builds it as ``math.comb`` maps,
@@ -33,10 +37,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from itertools import accumulate, repeat
 from math import comb
 from operator import add, floordiv, mul
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 #: Evaluation routes accepted by :func:`hypersolid`.
 METHODS = ("closed", "summation")
@@ -286,16 +291,26 @@ def _triangle_rows(
         prev = row
 
 
+#: Rounds of prefix sums the summation route chains as iterators before it
+#: stores one round in a list.  Each link of a chain of C iterators takes C
+#: stack, and a chain of 2 * 10**5 links overflowed an 8 MB stack.
+_CHAIN_ROUNDS = 1000
+
+
 def _by_summation(v: int, d: int, n: int) -> int:
     if v == 0:
         # The zero-dimensional sequence is not a valid summation source
         # (its prefix sums would drop the leading unit), so it keeps its
         # own rule: 0, 0, d, d, d, ...
         return d if n >= 2 else 0
-    row = [0] + [1 + d * (r - 1) for r in range(1, n + 1)]
-    for _ in range(v - 1):
-        row = list(accumulate(row))
-    return row[n]
+    # the progression 1, 1 + d, ..., 1 + d(n - 1); a range cannot step by 0
+    row: Iterable[int] = range(1, d * n + 1, d) if d else repeat(1, n)
+    for done in range(1, v):
+        row = accumulate(row)
+        if done % _CHAIN_ROUNDS == 0:
+            row = list(row)
+    last = deque(row, maxlen=1)
+    return last[0] if last else 0
 
 
 def hypersolid(v: int, d: int, n: int, method: str = "closed") -> int:

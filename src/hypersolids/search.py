@@ -24,19 +24,20 @@ v = 2.  Factoring has one work budget, ``_primes.FACTOR_BUDGET``; past it a
 dimension walks its ranks if they fit the same budget, and otherwise
 ``RangeError`` is raised.  The dimension loop ends at the first v where
 S(v, d_lo, min(max(n_min, 2), 3)), a lower bound on every cell of rank
->= 2 in the box, exceeds the target.  By default the box is clipped to the
-coordinate domain: ranks and differences below ``COORD_LIMIT``.
+>= 2 in the box, exceeds the target.  Dimensions 0 and 1 are solved in
+closed form: S(0, d, n) = d and S(1, d, n) = 1 + d(n - 1) from rank 2 on,
+so one comparison, or the divisors of t - 1, give their hits.  By default
+the box is clipped to the coordinate domain: ranks and differences below
+``COORD_LIMIT``.
 """
 
 from __future__ import annotations
 
 import math
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .kernel import (
-    COORD_LIMIT, IndexTriple, RangeError, _check, _closed, _exact_int, _sequence, binomial,
-)
+from .kernel import COORD_LIMIT, IndexTriple, RangeError, _check, _closed, _exact_int, _sequence
 
 
 class RepresentationHit(NamedTuple):
@@ -161,23 +162,62 @@ def _rank_hits(
             return
 
 
-def _rank_walk(
+def _low_hits(
     v: int, n_min: int, n_max: int, target: int, d_lo: int, d_hi: int
 ) -> Iterator[RepresentationHit]:
-    """The hits of dimension v <= 1, rank by rank from n_min to n_max."""
-    for n in range(n_min, n_max + 1):
-        base = binomial(v + n - 2, v - 1)  # value at d = 0
-        slope = binomial(v + n - 2, v)  # increment per unit of d
-        if slope == 0:
-            if base == target:
-                yield from (
-                    RepresentationHit(IndexTriple(v, d, n), target)
-                    for d in range(d_lo, d_hi + 1)
-                )
-        else:
-            d, leftover = divmod(target - base, slope)
-            if leftover == 0 and d_lo <= d <= d_hi:
-                yield RepresentationHit(IndexTriple(v, d, n), target)
+    """The hits of dimension v <= 1 and rank n_min..n_max, in closed form.
+
+    S(0, d, n) = d for n >= 2 and 0 below, so at v = 0 the target hits
+    every rank >= 2 when it lies in [d_lo, d_hi], and nothing otherwise.
+    S(1, d, n) = 1 + d(n - 1) for n >= 1 and 0 at n = 0.  So at v = 1 a
+    target of 1 hits rank 1 with every difference and d = 0 with every
+    rank, and a larger target t hits exactly where q = n - 1 divides t - 1,
+    with d = (t - 1) / q.  Those q are the divisors of t - 1 in the range
+    the rank and difference ranges leave.  That range is walked, from its
+    rank side or its difference side, whichever is shorter, when the
+    shorter holds at most ``_DIRECT_RANKS`` values; otherwise t - 1 is
+    factored and its divisors listed.  Past ``_primes.FACTOR_BUDGET`` the
+    shorter side is walked if it fits that budget, and otherwise
+    ``RangeError`` is raised.
+    """
+    if v == 0:
+        if d_lo <= target <= d_hi:
+            yield from (RepresentationHit(IndexTriple(0, target, n), target)
+                        for n in range(max(n_min, 2), n_max + 1))
+        return
+    if target == 1:
+        if n_min <= 1 <= n_max:
+            yield from (RepresentationHit(IndexTriple(1, d, 1), 1) for d in range(d_lo, d_hi + 1))
+        if d_lo == 0:
+            yield from (RepresentationHit(IndexTriple(1, 0, n), 1)
+                        for n in range(max(n_min, 2), n_max + 1))
+        return
+    if d_hi == 0:
+        return
+    u = target - 1  # = q * d with q = n - 1 >= 1 and d >= 1
+    q_lo, q_hi = max(n_min - 1, 1, -(-u // d_hi)), min(n_max - 1, u // max(d_lo, 1))
+    if q_lo > q_hi:
+        return
+    d_from, d_to = -(-u // q_hi), u // q_lo  # the differences those q can take
+    by_rank = q_hi - q_lo <= d_to - d_from
+    walk: Sequence[int] = range(q_lo, q_hi + 1) if by_rank else range(d_from, d_to + 1)
+    if len(walk) > _DIRECT_RANKS:
+        from ._primes import FACTOR_BUDGET, factor, factorial_divisors
+
+        u_factors = factor(u)
+        if u_factors is not None:
+            walk, by_rank = factorial_divisors(1, u_factors, q_lo, q_hi), True
+        elif len(walk) > FACTOR_BUDGET:
+            raise RangeError(
+                f"the target ({target.bit_length()} bits) does not factor within "
+                f"{FACTOR_BUDGET} steps, and walking dimension 1 instead would take "
+                f"{len(walk)} ranks or differences"
+            )
+    for k in walk:  # a q or a d; the other is its cofactor in t - 1
+        other, leftover = divmod(u, k)
+        if leftover == 0:
+            q, d = (k, other) if by_rank else (other, k)
+            yield RepresentationHit(IndexTriple(1, d, q + 1), target)
 
 
 def _range_of(name: str, pair: object) -> tuple[int, int]:
@@ -220,7 +260,11 @@ def representations(
 
     For v <= 1 the d = 0 value stops growing with the rank, so those
     dimensions admit arbitrarily large ranks and require an explicit
-    ``n_max``; their ranks are walked one by one up to it.
+    ``n_max``.  Their hits come in closed form: at v = 0 one comparison
+    decides them, and at v = 1 with a target t > 1 they are the divisors
+    of t - 1 among the ranks minus one (see ``_low_hits``).  Only the
+    answers as large as the box cost their size: a target in the
+    difference range at v = 0, and a target of 1 at v = 1.
 
     The dimension loop stops at the first v where S(v, d_lo, n_low)
     exceeds the target, with n_low = min(max(n_min, 2), 3): S never
@@ -263,7 +307,7 @@ def representations(
         if bounded and _closed(v, d_lo, n_low) > target:
             break  # this and every later dimension overshoot
         if v < 2:
-            hits += _rank_walk(v, n_min, n_max, target, d_lo, d_hi)
+            hits += _low_hits(v, n_min, n_max, target, d_lo, d_hi)
             continue
         # S never decreases in n or d: past the least rank where
         # S(v, d_lo, n) reaches the target, every cell overshoots

@@ -22,8 +22,11 @@ row c to the difference d = s - c, and a lifted row's sum is
 adds up one row total and one product per row (:func:`_lifted_tally`) and
 never builds a lifted cell; its cost depends only on s and not on what was
 asked before.  A listing needs every cell's value next to its coordinates,
-so only it lifts each row cell by cell (:func:`_simplex_rows`) and builds
-coordinate triples (:func:`enumerate_triples`, ``include_triples=True``).
+so only a listing builds coordinates: a slice makes its coordinate
+iterators only when ``include_triples=True``, and only the whole-simplex
+listing (:func:`enumerate_triples`, ``sum_fixed_s(s, include_triples=True)``)
+lifts each row cell by cell, with :func:`_simplex_rows`.  A report without
+a listing holds the values' total and nonzero count and nothing more.
 
 The binomial and permutation identities the closed forms rest on are
 catalogued in :data:`LEMMAS` and individually checkable via
@@ -79,7 +82,7 @@ def _simplex_rows(s: int) -> Iterator[list[int]]:
     The list for difference d holds S(v, d, s - d - v) for v = 0..s - d;
     the lists come for d = s, s - 1, ..., 0.  They are the rows c = s - d of
     the d = 0 triangle, which is Pascal's, each lifted to its difference by
-    :func:`_with_difference`.
+    :func:`_with_difference`.  Only listings read them (:func:`_triples`).
     """
     return map(_with_difference, _triangle_rows(0, s), range(s, -1, -1))
 
@@ -140,25 +143,24 @@ class SumReport(_Record):
 
 def _report(
     values: Sequence[int],
-    cells: Iterable[tuple[int, int, int]],
     formula_sum: int | None,
     formula_multitude: int | None,
-    include_triples: bool,
+    cells: Iterable[tuple[int, int, int]] | None = None,
     totals: tuple[int, int] | None = None,
 ) -> SumReport:
     """The closed form against the enumerated cells of one query.
 
-    ``values`` holds the cells' values in the order of the coordinates in
-    ``cells``.  Only a listing reads ``cells`` and turns coordinates into
-    IndexTriples.  ``totals``, when given, is the enumerated sum and nonzero
-    count worked out without the cells, and stands in for the tally of
-    ``values``.
+    ``values`` holds the cells' values.  ``cells``, given only for a
+    listing, holds their coordinates in the same order, and the report then
+    lists the nonzero cells as IndexTriples.  ``totals``, when given, is the
+    enumerated sum and nonzero count worked out without the cells, and
+    stands in for the tally of ``values``.
     """
     if totals is None:
         totals = sum(values), len(values) - values.count(0)
     enum_sum, multitude = totals
     triples = None
-    if include_triples:
+    if cells is not None:
         pairs = zip(starmap(IndexTriple, cells), values)
         triples = tuple((t, value) for t, value in pairs if value)
     consistent = (formula_sum is not None and formula_sum == enum_sum
@@ -192,14 +194,14 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
             *map(add, map(comb, ms, repeat(v - 1)), map(mul, ds, map(comb, ms, repeat(v)))),
             *[0] * (s - v + 1 - len(ds)),  # v = 1, n = 0: m = -1
         ]
-    cells = zip(repeat(v), range(s - v + 1), range(s - v, -1, -1))
+    cells = zip(repeat(v), range(s - v + 1), range(s - v, -1, -1)) if include_triples else None
     if v == 0:
         formula_sum = binomial(s - 1, 2)
         formula_multitude = max(s - 2, 0)
     else:
         formula_sum = binomial(s - 1, v) + binomial(s - 1, v + 2)
         formula_multitude = s - v
-    return _report(values, cells, formula_sum, formula_multitude, include_triples)
+    return _report(values, formula_sum, formula_multitude, cells)
 
 
 def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
@@ -216,14 +218,14 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
         values = [0] * (s - d + 1)
     else:
         values = _with_difference([0, *map(comb, repeat(m), range(m + 1)), 0], d)
-    cells = zip(range(s - d + 1), repeat(d), range(s - d, -1, -1))
+    cells = zip(range(s - d + 1), repeat(d), range(s - d, -1, -1)) if include_triples else None
     if d <= s - 2:
         formula_sum = (d + 1) * 2 ** (s - d - 2)
         formula_multitude = s - 1 if d == 0 else s - d
     else:
         formula_sum = None
         formula_multitude = None
-    return _report(values, cells, formula_sum, formula_multitude, include_triples)
+    return _report(values, formula_sum, formula_multitude, cells)
 
 
 def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
@@ -245,7 +247,7 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
         *lead,
         *map(add, map(comb, ms, count(v0 - 1)), map(mul, ds, map(comb, ms, count(v0)))),
     ]
-    cells = zip(range(s - n + 1), range(s - n, -1, -1), repeat(n))
+    cells = zip(range(s - n + 1), range(s - n, -1, -1), repeat(n)) if include_triples else None
     if n == 0:
         formula_sum, formula_multitude = 0, 0
     elif n == 1:
@@ -256,7 +258,7 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = None
         formula_multitude = None
-    return _report(values, cells, formula_sum, formula_multitude, include_triples)
+    return _report(values, formula_sum, formula_multitude, cells)
 
 
 def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
@@ -280,10 +282,10 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
         formula_multitude = None
     if include_triples:
         values, cells = _triples(s)
-        return _report(values, cells, formula_sum, formula_multitude, include_triples)
+        return _report(values, formula_sum, formula_multitude, cells)
     row_sums, row_nonzeros = zip(*map(_lifted_tally, _triangle_rows(0, s), range(s, -1, -1)))
     totals = sum(row_sums), sum(row_nonzeros)
-    return _report((), (), formula_sum, formula_multitude, False, totals=totals)
+    return _report((), formula_sum, formula_multitude, totals=totals)
 
 
 class _Lemma(NamedTuple):

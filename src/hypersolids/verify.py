@@ -6,9 +6,13 @@ generator that computes each case where it is listed, in one thread.  A
 value several cases read is evaluated once: the gnomons suite evaluates
 each S(v, d, n) of its grid once, the corollaries suite evaluates its
 values once per difference, and the lemmas suite reads each literal sum
-that extends a shorter one from one running sum.  Failures are sorted by
-case key, so the report does not depend on the order the cases were
-produced in.
+that extends a shorter one from one running sum.  The theorems suite
+reads every fixed-total slice once per total, through this module's names
+``sum_fixed_sv``, ``sum_fixed_sd`` and ``sum_fixed_sn``; its cross-partition
+and zero-census cases add up the enumerated sums and nonzero counts of
+those same reports, one total per axis, and build no cell of their own.
+Failures are sorted by case key, so the report does not depend on the
+order the cases were produced in.
 """
 
 from __future__ import annotations
@@ -19,14 +23,7 @@ from typing import Callable, Iterable, Iterator
 from .kernel import (
     DEFAULT_BOUNDS, SUITES, _check, _Record, _set_field, d_gnomon, hypersolid, n_gnomon, v_gnomon,
 )
-from .sums import (
-    LEMMAS,
-    _simplex_rows,
-    sum_fixed_s,
-    sum_fixed_sd,
-    sum_fixed_sn,
-    sum_fixed_sv,
-)
+from .sums import LEMMAS, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
 from .triangle import (
     build_triangle,
     compile_row,
@@ -212,7 +209,12 @@ def _theorem_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
         yield f"simplex-total s={s}", True, total.consistent
         partition = tuple(sum(r.enumerated_sum for r in slices) for _, _, slices, _ in axes)
         yield f"cross-partition s={s}", (total.enumerated_sum,) * 3, partition
-        yield f"zero-census s={s}", s + 3, sum(row.count(0) for row in _simplex_rows(s))
+        # each axis's slices partition the simplex's C(s + 2, 2) cells, so
+        # each axis counts all of its zeros
+        cells = (s + 1) * (s + 2) // 2
+        census = tuple(cells - sum(r.enumerated_multitude for r in slices)
+                       for _, _, slices, _ in axes)
+        yield f"zero-census s={s}", (s + 3,) * 3, census
 
 
 # --------------------------------------------------------------- lemmas

@@ -8,6 +8,9 @@ here from scratch.
 
 from __future__ import annotations
 
+import math
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +185,39 @@ def test_closed_matches_independent_summation_on_grid():
 @given(v=st.integers(0, 12), d=st.integers(0, 20), n=st.integers(0, 40))
 def test_closed_matches_summation_method(v, d, n):
     assert hypersolid(v, d, n, "closed") == hypersolid(v, d, n, "summation")
+
+
+def two_binomial(v: int, d: int, n: int) -> int:
+    """C(m, v - 1) + d * C(m, v) with m = v + n - 2, zero-extended, from math.comb."""
+    m = v + n - 2
+    return sum(w * math.comb(m, k) for w, k in ((1, v - 1), (d, v)) if 0 <= k <= m)
+
+
+def test_summation_route_matches_the_two_binomial_form():
+    for v in range(1, 13):
+        for d in range(7):
+            for n in range(26):
+                assert hypersolid(v, d, n, "summation") == two_binomial(v, d, n), (v, d, n)
+    # the v = 0 sequence is 0, 0, d, d, ...: C(n - 2, -1) is zero and C(n - 2, 0) is 1
+    for d in range(7):
+        for n in range(26):
+            assert hypersolid(0, d, n, "summation") == (d * (n >= 2)) == two_binomial(0, d, n)
+
+
+@pytest.mark.parametrize(("v", "d", "n"), [
+    (60, 0, 400), (60, 3, 400), (57, 10, 389), (20, 7, 100), (1, 9, 400), (61, 1, 1),
+])
+def test_summation_route_matches_the_two_binomial_form_on_big_cells(v, d, n):
+    assert hypersolid(v, d, n, "summation") == two_binomial(v, d, n)
+
+
+def test_summation_route_cuts_long_chains_of_rounds(monkeypatch):
+    # past _CHAIN_ROUNDS rounds the route stores a round in a list; a
+    # chain of 2 * 10**5 iterator rounds overflowed the C stack
+    assert hypersolid(2500, 3, 4, "summation") == two_binomial(2500, 3, 4)
+    monkeypatch.setattr(kernel, "_CHAIN_ROUNDS", 3)
+    for v, d, n in product(range(13), range(4), range(12)):
+        assert hypersolid(v, d, n, "summation") == two_binomial(v, d, n), (v, d, n)
 
 
 def test_boundary_ladder():

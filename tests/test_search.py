@@ -5,6 +5,8 @@ plain product formulas (no shared code with the package's closed form);
 ``representations`` must agree with it exactly.  ``walk_representations``
 is the rank walk the search ran before it listed divisors: it reaches
 targets too large for the naive scan, at about sqrt(2 * target) ranks.
+``rank_walk`` is the walk the dimensions v <= 1 ran before they were
+solved in closed form: one exact division per rank up to ``n_max``.
 """
 
 from __future__ import annotations
@@ -99,6 +101,22 @@ def walk_representations(target, v_range=(2, 8), d_range=None, n_min=3, n_max=No
         n = least_rank_reaching(v, 0, target)
         if d_lo == 0 and stop <= n <= n_max and hypersolid(v, 0, n) == target:
             out.append((v, 0, n))
+    return sorted(out)
+
+
+def rank_walk(v, target, d_range, n_min, n_max):
+    """The (v, d, n) hits of dimension v <= 1, one rank at a time from n_min to n_max."""
+    d_lo, d_hi = d_range
+    out = []
+    for n in range(n_min, n_max + 1):
+        base, slope = binomial(v + n - 2, v - 1), binomial(v + n - 2, v)
+        if slope == 0:
+            if base == target:
+                out += [(v, d, n) for d in range(d_lo, d_hi + 1)]
+        else:
+            d, leftover = divmod(target - base, slope)
+            if leftover == 0 and d_lo <= d <= d_hi:
+                out.append((v, d, n))
     return sorted(out)
 
 
@@ -509,6 +527,69 @@ def test_a_target_of_1e30_answers_at_once():
     assert all(naive_value(*h.triple) == 10**30 for h in hits)
 
 
+# --------------------------------------------- dimensions 0 and 1 in closed form
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_low_dimensions_match_the_rank_walk(both_routes, seed):
+    # every box's hits, on the walk or the divisor route, are the rank walk's
+    rng = random.Random(seed)
+    for _ in range(40):
+        v = rng.randint(0, 1)
+        target = rng.choice((1, 2, rng.randint(3, 60), rng.randint(61, 10**6)))
+        d_lo = rng.choice((0, 1, rng.randint(2, 100)))
+        d_span = rng.choice((0, 5, 3000) if target == 1 else (0, 5, 3000, 10**6))
+        n_min = rng.choice((0, 1, 2, 3, rng.randint(4, 500)))
+        box = {"v_range": (v, v), "d_range": (d_lo, d_lo + d_span),
+               "n_min": n_min, "n_max": rng.randint(0, 3000)}
+        want = rank_walk(v, target, box["d_range"], n_min, box["n_max"])
+        assert both_routes(target, **box) == (want, want), (target, box)
+
+
+@pytest.mark.parametrize("target", [
+    2, 721, 5041, 55441, 720721, 1441441, 2**12 + 1, 3**8 + 1, 2 * 3 * 5 * 7 * 11 * 13 + 1,
+])
+def test_targets_one_past_a_highly_composite_number_match_the_rank_walk(both_routes, target):
+    # t - 1 has many divisors, so dimension 1 holds many hits
+    for box in ({"n_min": 0, "n_max": 3000},
+                {"d_range": (2, 400), "n_min": 5, "n_max": 2500},
+                {"d_range": (target // 7, target), "n_min": 1, "n_max": 50}):
+        want = rank_walk(0, target, box.get("d_range", (0, target)), box["n_min"], box["n_max"])
+        want += rank_walk(1, target, box.get("d_range", (0, target)), box["n_min"], box["n_max"])
+        assert both_routes(target, v_range=(0, 1), **box) == (want, want), box
+
+
+def test_dimension_one_answers_for_the_whole_rank_domain_at_once():
+    top = COORD_LIMIT - 1
+    start = time.perf_counter()
+    single = representations(1000, v_range=(1, 1), d_range=(1, 1), n_min=3, n_max=top)
+    # the hits of v = 1 are the divisors q of 10**12 = 2**12 * 5**12 with
+    # n = q + 1 and d = 10**12 / q in the domain; no difference of the
+    # domain reaches the v = 0 value
+    wide = representations(10**12 + 1, v_range=(0, 1), n_min=0, n_max=top)
+    assert time.perf_counter() - start < 1.0
+    assert [tuple(h.triple) for h in single] == [(1, 1, 1000)]
+    divisors = sorted(2**i * 5**j for i in range(13) for j in range(13))
+    want = [(1, 10**12 // q, q + 1) for q in divisors if 10**12 // q <= top and q + 1 <= top]
+    assert [tuple(h.triple) for h in wide] == sorted(want)
+    assert all(h.value == hypersolid(*h.triple) == 10**12 + 1 for h in wide)
+
+
+def test_dimension_zero_is_decided_at_once():
+    top = COORD_LIMIT - 1
+    assert representations(5, v_range=(0, 0), d_range=(0, 4), n_min=0, n_max=top) == []
+    assert representations(5, v_range=(0, 0), d_range=(6, 9), n_min=0, n_max=top) == []
+    hits = representations(5, v_range=(0, 0), d_range=(5, 5), n_min=top - 2, n_max=top)
+    assert [tuple(h.triple) for h in hits] == [(0, 5, top - 2), (0, 5, top - 1), (0, 5, top)]
+
+
+def test_the_one_hit_box_runs_from_the_command_line(run_cli):
+    code, out, err = run_cli("represent", "--value", "1000", "--vmin", "1", "--vmax", "1",
+                             "--dmin", "1", "--dmax", "1", "--nmax", str(COORD_LIMIT - 1),
+                             "--format", "csv")
+    assert (code, out, err) == (0, "v,d,n,value\n1,1,1000,1000\n", "")
+
+
 # --------------------------------------------------------- factoring budget
 
 #: S(2, 1000004, 250) = 250 * 124500499, and the prime 124500499 lies past
@@ -541,6 +622,20 @@ def test_a_failed_factorisation_with_too_many_ranks_raises(monkeypatch, run_cli)
     code, out, err = run_cli("represent", "--value", str(HARD))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "does not factor" in err
+
+
+def test_dimension_one_walks_the_ranks_it_can_afford_when_factoring_fails(monkeypatch):
+    # t - 1 = HARD; differences below 2**32 leave q = n - 1 from 8 up
+    target = HARD + 1
+    want = rank_walk(1, target, (0, 2**32 - 1), 3, 300)
+    assert want == sorted((1, HARD // q, q + 1) for q in (10, 25, 50, 125, 250))
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", HARD_TEST_UNITS - 1)
+    assert _primes.factor(HARD) is None
+    # q = 8..299: 292 ranks, more than _DIRECT_RANKS and within the budget
+    got = representations(target, v_range=(1, 1), n_max=300)
+    assert [tuple(h.triple) for h in got] == want
+    with pytest.raises(RangeError, match="would take 392 ranks or differences"):
+        representations(target, v_range=(1, 1), n_max=400)
 
 
 def test_the_candidate_ranks_of_a_dimension_are_held_to_the_budget(monkeypatch):

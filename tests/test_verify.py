@@ -162,6 +162,47 @@ def test_a_wrong_slice_fails_its_own_case_and_the_cross_partition(monkeypatch, q
     assert outcome.cases_run == run_suite("theorems", bounds=SMALL).cases_run
 
 
+@pytest.mark.parametrize(
+    ("query", "name", "axis"),
+    [("sum_fixed_sv", "fixed-dimension s=7 v=2", 0),
+     ("sum_fixed_sd", "fixed-difference s=7 d=2", 1),
+     ("sum_fixed_sn", "fixed-rank s=7 n=2", 2)],
+)
+def test_a_wrong_nonzero_count_fails_its_own_case_and_the_zero_census(
+    monkeypatch, query, name, axis
+):
+    honest = getattr(verify, query)
+
+    def one_more_nonzero(s, k):
+        report = honest(s, k)
+        if (s, k) != (7, 2):
+            return report
+        return SumReport(report.formula_sum, report.enumerated_sum, report.formula_multitude,
+                         report.enumerated_multitude + 1, None, False)
+
+    monkeypatch.setattr(verify, query, one_more_nonzero)
+    outcome = run_suite("theorems", bounds=SMALL)
+    # the simplex s = 7 holds 7 + 3 zero cells; this axis now counts one fewer
+    census = [10] * 3
+    census[axis] -= 1
+    assert outcome.failures == (
+        (name, "True", "False"),
+        ("zero-census s=7", str((10,) * 3), str(tuple(census))),
+    )
+    assert outcome.cases_run == run_suite("theorems", bounds=SMALL).cases_run
+
+
+def test_the_zero_census_of_every_axis_counts_the_zeros_of_the_lifted_rows():
+    # the slices' nonzero counts against the rows of the whole simplex,
+    # lifted from Pascal's triangle cell by cell
+    for s in range(2, 61):
+        zeros = sum(row.count(0) for row in sums._simplex_rows(s))
+        cells = (s + 1) * (s + 2) // 2
+        for query in (sums.sum_fixed_sv, sums.sum_fixed_sd, sums.sum_fixed_sn):
+            nonzero = sum(query(s, k).enumerated_multitude for k in range(s + 1))
+            assert cells - nonzero == zeros == s + 3, (s, query.__name__)
+
+
 @pytest.mark.parametrize("field", GridBounds.__slots__)
 @pytest.mark.parametrize("bad", [-1, 2**32, True, 3.0, "3"])
 def test_grid_bounds_reject_values_outside_the_domain(field, bad):
