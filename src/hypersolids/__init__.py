@@ -20,9 +20,9 @@ _HOMES = {
     "kernel": (
         "COORD_LIMIT", "METHODS", "SUITES", "IndexTriple", "RangeError", "binomial",
         "d_gnomon", "gnomon_term", "hyper4", "hypersolid", "n_gnomon", "permutation",
-        "polygonal", "pyramidal", "v_gnomon",
+        "polygonal", "pyramidal", "sequence_slice", "v_gnomon",
     ),
-    "search": ("RepresentationHit", "rank_of", "representations", "sequence_slice"),
+    "search": ("RepresentationHit", "rank_of", "representations"),
     "sums": (
         "LEMMAS", "SumReport", "enumerate_triples", "lemma_check", "sum_fixed_s",
         "sum_fixed_sd", "sum_fixed_sn", "sum_fixed_sv",

@@ -27,7 +27,8 @@ import sys
 from typing import Iterable, Sequence
 
 from .kernel import (
-    COORD_LIMIT, DEFAULT_BOUNDS, METHODS, SUITES, IndexTriple, _check, _sequence, hypersolid,
+    COORD_LIMIT, DEFAULT_BOUNDS, METHODS, SUITES, IndexTriple, _check, hypersolid,
+    sequence_slice,
 )
 
 Result = tuple[dict, bool, object]  # (query, consistent, payload for args.format)
@@ -144,9 +145,9 @@ def _cmd_table(args: argparse.Namespace) -> Result:
     gnomons = args.gnomons
     ns = list(range(1, nmax + 1))
     ds = list(range(1, dmax + 1))
-    grid = {d: _sequence(v, d, 1, nmax) for d in ds}
+    grid = {d: sequence_slice(v, d, 1, nmax) for d in ds}
     n_gnomons = {d: hypersolid(v - 1, d, nmax) for d in ds} if gnomons else None
-    d_gnomons = _sequence(v, 1, 0, nmax - 1) if gnomons else None
+    d_gnomons = sequence_slice(v, 1, 0, nmax - 1) if gnomons else None
     query = {"command": "table", "v": v, "dmax": dmax, "nmax": nmax, "gnomons": gnomons}
 
     if args.format == "json":

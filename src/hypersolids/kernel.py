@@ -25,9 +25,9 @@ Two independent evaluation routes are provided and agree everywhere:
   ``_CHAIN_ROUNDS`` rounds is cut by storing one round in a list.
 
 A whole sequence slice (fixed v and d, consecutive ranks) is the same closed
-form over one Pascal column: ``_sequence`` builds it as ``math.comb`` maps,
-with no Python call per rank, and decides the binomial route once per slice
-from v alone.  ``sequence_slice`` and the command-line ``table`` use it.
+form over one Pascal column: ``sequence_slice`` builds it as ``math.comb``
+maps, with no Python call per rank, and decides the binomial route once per
+slice from v alone.  The command-line ``table`` builds its rows with it.
 
 All arithmetic is exact; values grow combinatorially and are returned as
 plain ``int`` with no overflow or rounding anywhere.
@@ -223,7 +223,7 @@ def _closed(v: int, d: int, n: int) -> int:
     # At n = 0 (m = v - 2) math.comb gives 0 and so does the product.
     # A big balanced binomial (see _PRIME_ROUTE_SIDE) is a product of prime
     # powers instead, with no big division.  A cell with v at or below the
-    # threshold pays one comparison for that test (a _sequence slice pays
+    # threshold pays one comparison for that test (a sequence_slice pays
     # it once), and _primes is first imported by the first big cell.
     m = v + n - 2
     if m < 0:
@@ -237,8 +237,8 @@ def _closed(v: int, d: int, n: int) -> int:
     return comb(m, v - 1) * (v + d * (n - 1)) // v
 
 
-def _sequence(v: int, d: int, n_from: int, n_to: int) -> list[int]:
-    """``[_closed(v, d, n) for n in range(n_from, n_to + 1)]``, one C pass per slice.
+def sequence_slice(v: int, d: int, n_from: int, n_to: int) -> list[int]:
+    """Values at ranks n_from..n_to (inclusive) of one sequence.
 
     A fixed (v, d) sequence is one column of Pascal's triangle, C(m, v - 1)
     for m = v + n - 2, times the progression v + d(n - 1), floor-divided by
@@ -247,6 +247,12 @@ def _sequence(v: int, d: int, n_from: int, n_to: int) -> list[int]:
     take the prime-power binomial, and a slice above it calls ``_closed``
     per cell so that its big balanced cells still do.
     """
+    v = _check("v", v)
+    d = _check("d", d)
+    n_from = _check("n_from", n_from)
+    n_to = _check("n_to", n_to)
+    if n_from > n_to:
+        raise RangeError(f"empty rank range: [{n_from}, {n_to}]")
     if v > _PRIME_ROUTE_SIDE:
         return [_closed(v, d, n) for n in range(n_from, n_to + 1)]
     if v == 0:  # 0 at ranks 0 and 1 (m < 0), d from rank 2 on

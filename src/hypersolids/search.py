@@ -5,39 +5,43 @@ rank search here, ``_least_rank``: a floating-point guess from the closed
 form, then galloping and bisection over exact values.
 
 ``representations`` finds every coordinate triple in a box whose value
-equals a target t.  For a fixed dimension v and rank n the value is affine
-in the difference, ``base(n) + d * slope(n)`` with base(n) = C(v+n-2, v-1)
-and slope(n) = C(v+n-2, v), so each (v, n) cell is decided by one exact
-division rather than a scan over d.  For v >= 2 the value never decreases
-in n or d, so no rank past the least one where S(v, d_lo, n) reaches t can
-hit, and the rank search finds that one.  Up to it, the closed form
+equals a target t.  For a fixed dimension v >= 1 and rank n the value is
+affine in the difference, ``base(n) + d * slope(n)`` with base(n) =
+C(v+n-2, v-1) and slope(n) = C(v+n-2, v), so each (v, n) cell is decided
+by one exact division rather than a scan over d.  The value never
+decreases in n or d, so each dimension has one range of ranks that can
+hit.  For v >= 2 it ends at the least rank where S(v, d_lo, n) reaches t,
+which the rank search finds.  Up to it, the closed form
 S = C(v+n-2, v-1) * (v + d(n-1)) / v gives
 
     v! * S(v, d, n) = n (n+1) ... (n+v-2) * (v + d(n-1)),
 
 so the rank of every hit divides v! * t; at v = 2 this is the polygonal
-test n(2 + (n-1)d) = 2t.  ``_primes.factor`` factors t once per call, and
-each dimension checks only the divisors of v! * t among its ranks, or every
-rank where there are few.  The work is the factoring plus a few divisors
-per dimension, where a walk over the ranks takes about sqrt(2t) of them at
-v = 2.  Factoring has one work budget, ``_primes.FACTOR_BUDGET``; past it a
-dimension walks its ranks if they fit the same budget, and otherwise
-``RangeError`` is raised.  The dimension loop ends at the first v where
-S(v, d_lo, min(max(n_min, 2), 3)), a lower bound on every cell of rank
->= 2 in the box, exceeds the target.  Dimensions 0 and 1 are solved in
-closed form: S(0, d, n) = d and S(1, d, n) = 1 + d(n - 1) from rank 2 on,
-so one comparison, or the divisors of t - 1, give their hits.  By default
-the box is clipped to the coordinate domain: ranks and differences below
-``COORD_LIMIT``.
+test n(2 + (n-1)d) = 2t.  At v = 1, S(1, d, n) = 1 + d(n - 1) has base 1
+and slope n - 1, so a target t > 1 hits exactly where n - 1 divides t - 1,
+and the difference range bounds the ranks from both sides.  A dimension
+with few ranks checks each of them, and one with more only those the
+divisors of v! * t (or of t - 1) allow; ``_primes.factor`` factors each
+such number at most once per call.  The work is the factoring plus a few
+divisors per dimension, where a walk over the ranks takes about sqrt(2t)
+of them at v = 2.  Factoring has one work budget,
+``_primes.FACTOR_BUDGET``; past it a dimension walks its ranks if they fit
+the same budget, and otherwise ``RangeError`` is raised.  The dimension
+loop ends at the first v where S(v, d_lo, min(max(n_min, 2), 3)), a lower
+bound on every cell of rank >= 2 in the box, exceeds the target.  The
+answers as large as the box come in closed form: one comparison decides
+dimension 0, where S(0, d, n) = d from rank 2 on, and a target of 1 hits
+rank 1 and d = 0 at v = 1.  By default the box is clipped to the
+coordinate domain: ranks and differences below ``COORD_LIMIT``.
 """
 
 from __future__ import annotations
 
 import math
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
-from .kernel import COORD_LIMIT, IndexTriple, RangeError, _check, _closed, _exact_int, _sequence
+from .kernel import COORD_LIMIT, IndexTriple, RangeError, _check, _closed, _exact_int
 
 
 class RepresentationHit(NamedTuple):
@@ -47,9 +51,9 @@ class RepresentationHit(NamedTuple):
 
 #: A dimension with at most this many ranks to search checks each of them
 #: (its checks stop well before the last); one with more checks only the
-#: divisors of v! * t among them.  On targets from 1e4 to 1e9, 128 to 512
-#: cost the same within noise; 32 cost about 13 % more, and 1024 about 10 %
-#: more on the targets past 1e6.
+#: divisors of v! * t among them (at v = 1, one past each divisor of t - 1).
+#: On targets from 1e4 to 1e9, 128 to 512 cost the same within noise; 32
+#: cost about 13 % more, and 1024 about 10 % more on the targets past 1e6.
 _DIRECT_RANKS = 256
 
 
@@ -135,11 +139,12 @@ def _rank_hits(
 ) -> Iterator[RepresentationHit]:
     """The hits (v, d, n) with n in ``ranks`` (ascending) and d in [d_lo, d_hi].
 
-    Needs v >= 2.  From the first rank where even the smallest nonzero
-    difference of the box overshoots, only a d = 0 hit is left, and S(v, 0, n)
-    is strictly increasing, so its one candidate is ``top``, the least rank
-    where S(v, d_lo, n) reaches the target: the ranks after that first one
-    are skipped and ``top`` is checked in their place.
+    Needs v >= 1.  From the first rank where even the smallest nonzero
+    difference of the box overshoots, only a d = 0 hit is left.  At v >= 2
+    S(v, 0, n) is strictly increasing, so its one candidate is ``top``, the
+    least rank where S(v, d_lo, n) reaches the target: the ranks after that
+    first one are skipped and ``top`` is checked in their place.  At v = 1,
+    S(1, 0, n) = 1 is below every target the search asks about.
     """
     d_step = max(d_lo, 1)
     for n in ranks:
@@ -162,62 +167,66 @@ def _rank_hits(
             return
 
 
+def _candidate_ranks(
+    v: int, target: int, d_lo: int, lo: int, top: int,
+    factored: dict[int, dict[int, int] | None],
+) -> Iterable[int]:
+    """The ranks of lo..top that dimension v >= 1 checks for hits, ascending.
+
+    A range of at most ``_DIRECT_RANKS`` ranks is checked whole.  A longer
+    one keeps only the ranks the divisor test allows: the divisors of
+    v! * t for v >= 2, and one past the divisors of t - 1 at v = 1.  Each
+    number is factored once per search: ``factored`` maps it to its primes,
+    or to None when factoring costs more than ``_primes.FACTOR_BUDGET``.
+    Then the whole range is walked if the walk fits the same budget, and
+    otherwise ``RangeError`` is raised.  The walk ends at the first rank
+    where even d = max(d_lo, 1) overshoots (see ``_rank_hits``), about
+    sqrt(2 * target) ranks at v = 2.
+    """
+    ranks = range(lo, top + 1)
+    if len(ranks) <= _DIRECT_RANKS:
+        return ranks
+    from ._primes import FACTOR_BUDGET, factor, factorial_divisors
+
+    shift = 1 if v == 1 else 0  # at v = 1, n - 1 divides t - 1
+    number = target - shift
+    if number not in factored:
+        factored[number] = factor(number)
+    primes = factored[number]
+    if primes is not None:
+        divisors = factorial_divisors(v, primes, lo - shift, top - shift)
+        return [q + 1 for q in divisors] if shift else divisors
+    stop = min(_least_rank(v, max(d_lo, 1), target + 1), top + 1)
+    if stop - lo > FACTOR_BUDGET:
+        raise RangeError(
+            f"the target ({target.bit_length()} bits) does not factor within "
+            f"{FACTOR_BUDGET} steps, and walking dimension {v} instead would take "
+            f"{stop - lo} ranks"
+        )
+    return ranks
+
+
 def _low_hits(
     v: int, n_min: int, n_max: int, target: int, d_lo: int, d_hi: int
 ) -> Iterator[RepresentationHit]:
-    """The hits of dimension v <= 1 and rank n_min..n_max, in closed form.
+    """The hits of dimension 0, or of dimension 1 at a target of 1, in closed form.
 
-    S(0, d, n) = d for n >= 2 and 0 below, so at v = 0 the target hits
-    every rank >= 2 when it lies in [d_lo, d_hi], and nothing otherwise.
-    S(1, d, n) = 1 + d(n - 1) for n >= 1 and 0 at n = 0.  So at v = 1 a
-    target of 1 hits rank 1 with every difference and d = 0 with every
-    rank, and a larger target t hits exactly where q = n - 1 divides t - 1,
-    with d = (t - 1) / q.  Those q are the divisors of t - 1 in the range
-    the rank and difference ranges leave.  That range is walked, from its
-    rank side or its difference side, whichever is shorter, when the
-    shorter holds at most ``_DIRECT_RANKS`` values; otherwise t - 1 is
-    factored and its divisors listed.  Past ``_primes.FACTOR_BUDGET`` the
-    shorter side is walked if it fits that budget, and otherwise
-    ``RangeError`` is raised.
+    These are the answers that can be as large as the box.  S(0, d, n) = d
+    for n >= 2 and 0 below, so at v = 0 the target hits every rank >= 2
+    when it lies in [d_lo, d_hi], and nothing otherwise.  S(1, d, n) =
+    1 + d(n - 1) for n >= 1 and 0 at n = 0, so at v = 1 a target of 1 hits
+    rank 1 with every difference and d = 0 with every rank.
     """
     if v == 0:
         if d_lo <= target <= d_hi:
             yield from (RepresentationHit(IndexTriple(0, target, n), target)
                         for n in range(max(n_min, 2), n_max + 1))
         return
-    if target == 1:
-        if n_min <= 1 <= n_max:
-            yield from (RepresentationHit(IndexTriple(1, d, 1), 1) for d in range(d_lo, d_hi + 1))
-        if d_lo == 0:
-            yield from (RepresentationHit(IndexTriple(1, 0, n), 1)
-                        for n in range(max(n_min, 2), n_max + 1))
-        return
-    if d_hi == 0:
-        return
-    u = target - 1  # = q * d with q = n - 1 >= 1 and d >= 1
-    q_lo, q_hi = max(n_min - 1, 1, -(-u // d_hi)), min(n_max - 1, u // max(d_lo, 1))
-    if q_lo > q_hi:
-        return
-    d_from, d_to = -(-u // q_hi), u // q_lo  # the differences those q can take
-    by_rank = q_hi - q_lo <= d_to - d_from
-    walk: Sequence[int] = range(q_lo, q_hi + 1) if by_rank else range(d_from, d_to + 1)
-    if len(walk) > _DIRECT_RANKS:
-        from ._primes import FACTOR_BUDGET, factor, factorial_divisors
-
-        u_factors = factor(u)
-        if u_factors is not None:
-            walk, by_rank = factorial_divisors(1, u_factors, q_lo, q_hi), True
-        elif len(walk) > FACTOR_BUDGET:
-            raise RangeError(
-                f"the target ({target.bit_length()} bits) does not factor within "
-                f"{FACTOR_BUDGET} steps, and walking dimension 1 instead would take "
-                f"{len(walk)} ranks or differences"
-            )
-    for k in walk:  # a q or a d; the other is its cofactor in t - 1
-        other, leftover = divmod(u, k)
-        if leftover == 0:
-            q, d = (k, other) if by_rank else (other, k)
-            yield RepresentationHit(IndexTriple(1, d, q + 1), target)
+    if n_min <= 1 <= n_max:
+        yield from (RepresentationHit(IndexTriple(1, d, 1), 1) for d in range(d_lo, d_hi + 1))
+    if d_lo == 0:
+        yield from (RepresentationHit(IndexTriple(1, 0, n), 1)
+                    for n in range(max(n_min, 2), n_max + 1))
 
 
 def _range_of(name: str, pair: object) -> tuple[int, int]:
@@ -248,23 +257,25 @@ def representations(
     For v >= 2 no rank past the least n with S(v, d_lo, n) >= target can
     hit, d_lo the low end of the difference range; the rank search behind
     ``rank_of`` finds that rank.  Up to it, the rank of every hit divides
-    v! * target, so the target is factored once (when the first dimension
-    needs it) and a dimension checks only those divisors, each by one exact
-    division, or all its ranks when there are at most ``_DIRECT_RANKS``.
-    The checks stop at the first rank where even d = max(d_lo, 1)
-    overshoots; after it only the last rank can hold a (d = 0) hit.  When
-    factoring would cost more than ``_primes.FACTOR_BUDGET`` steps, a
-    dimension walks its ranks instead if the walk (about sqrt(2 * target)
-    ranks at v = 2) fits the same budget, and otherwise ``RangeError`` is
-    raised.
+    v! * target.  For v <= 1 the d = 0 value stops growing with the rank,
+    so those dimensions admit arbitrarily large ranks and require an
+    explicit ``n_max``.  At v = 1 a target t > 1 hits exactly where n - 1
+    divides t - 1, with d = (t - 1) / (n - 1), so the difference range
+    bounds the ranks from both sides.  Each dimension v >= 1 checks each
+    of its ranks by one exact division when there are at most
+    ``_DIRECT_RANKS``, and otherwise only those the divisors allow: the
+    number (target or target - 1) is factored once per call, when the
+    first dimension needs it.  The checks stop at the first rank where
+    even d = max(d_lo, 1) overshoots; after it only the last rank can hold
+    a (d = 0) hit.  When factoring would cost more than
+    ``_primes.FACTOR_BUDGET`` steps, a dimension walks its ranks instead
+    if the walk (about sqrt(2 * target) ranks at v = 2) fits the same
+    budget, and otherwise ``RangeError`` is raised.
 
-    For v <= 1 the d = 0 value stops growing with the rank, so those
-    dimensions admit arbitrarily large ranks and require an explicit
-    ``n_max``.  Their hits come in closed form: at v = 0 one comparison
-    decides them, and at v = 1 with a target t > 1 they are the divisors
-    of t - 1 among the ranks minus one (see ``_low_hits``).  Only the
-    answers as large as the box cost their size: a target in the
-    difference range at v = 0, and a target of 1 at v = 1.
+    At v = 0 one comparison decides the box, and at v = 1 a target of 1
+    hits rank 1 and d = 0 (see ``_low_hits``).  Only these answers, as
+    large as the box, cost their size: a target in the difference range at
+    v = 0, and a target of 1 at v = 1.
 
     The dimension loop stops at the first v where S(v, d_lo, n_low)
     exceeds the target, with n_low = min(max(n_min, 2), 3): S never
@@ -300,63 +311,26 @@ def representations(
     # to max(n_min, 2) bounds it; rank 3 keeps the binomial small.
     n_low = min(max(n_min, 2), 3)
     bounded = target > 1 or n_min >= 2
-    factored, t_factors = False, None  # the target's primes, once a dimension needs them
+    factored: dict[int, dict[int, int] | None] = {}  # see _candidate_ranks
 
     hits: list[RepresentationHit] = []
     for v in range(v_lo, v_hi + 1):
         if bounded and _closed(v, d_lo, n_low) > target:
             break  # this and every later dimension overshoot
-        if v < 2:
+        if v == 0 or (v == 1 and target == 1):
             hits += _low_hits(v, n_min, n_max, target, d_lo, d_hi)
             continue
-        # S never decreases in n or d: past the least rank where
-        # S(v, d_lo, n) reaches the target, every cell overshoots
-        top = min(_least_rank(v, d_lo, target), n_max)
-        ranks: Iterable[int] = range(n_min, top + 1)
-        if top - n_min >= _DIRECT_RANKS:
-            from ._primes import factor, factorial_divisors
-
-            if not factored:
-                factored, t_factors = True, factor(target)
-            if t_factors is not None:
-                ranks = factorial_divisors(v, t_factors, n_min, top)
-            else:
-                _check_walk(v, target, d_lo, n_min, top)
+        if v >= 2:
+            # S never decreases in n or d: past the least rank where
+            # S(v, d_lo, n) reaches the target, every cell overshoots
+            lo, top = n_min, min(_least_rank(v, d_lo, target), n_max)
+        elif d_hi:
+            # 1 + d(n - 1) = target needs d_lo <= (target - 1) / (n - 1) <= d_hi
+            lo = max(n_min, 2, 1 - (1 - target) // d_hi)
+            top = min(n_max, 1 + (target - 1) // max(d_lo, 1))
+        else:
+            continue  # every cell of the box is 1
+        ranks = _candidate_ranks(v, target, d_lo, lo, top, factored)
         hits += _rank_hits(v, ranks, top, target, d_lo, d_hi)
     hits.sort(key=lambda hit: hit.triple)
     return hits
-
-
-def _check_walk(v: int, target: int, d_lo: int, n_min: int, top: int) -> None:
-    """RangeError unless dimension v can walk its ranks within ``FACTOR_BUDGET``.
-
-    The walk ends at the first rank where even d = max(d_lo, 1) overshoots,
-    about sqrt(2 * target) ranks at v = 2 (see ``_rank_hits``).
-    """
-    from ._primes import FACTOR_BUDGET
-
-    stop = min(_least_rank(v, max(d_lo, 1), target + 1), top + 1)
-    if stop - n_min > FACTOR_BUDGET:
-        raise RangeError(
-            f"the target ({target.bit_length()} bits) does not factor within "
-            f"{FACTOR_BUDGET} steps, and walking dimension {v} instead would take "
-            f"{stop - n_min} ranks"
-        )
-
-
-def sequence_slice(v: int, d: int, n_from: int, n_to: int) -> list[int]:
-    """Values at ranks n_from..n_to (inclusive) of one sequence.
-
-    The slice is one Pascal column times an arithmetic progression, built
-    by ``kernel._sequence`` as ``math.comb`` maps with no Python call per
-    rank.  That helper decides the binomial route once for the whole slice:
-    only v > ``_PRIME_ROUTE_SIDE`` evaluates rank by rank, so that big
-    balanced cells still take the prime-power binomial.
-    """
-    v = _check("v", v)
-    d = _check("d", d)
-    n_from = _check("n_from", n_from)
-    n_to = _check("n_to", n_to)
-    if n_from > n_to:
-        raise RangeError(f"empty rank range: [{n_from}, {n_to}]")
-    return _sequence(v, d, n_from, n_to)

@@ -200,6 +200,13 @@ def test_table_rejects_low_dimension(run_cli):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--dmax", "--nmax"])
+def test_table_rejects_an_empty_grid(run_cli, flag):
+    argv = {"--v": "3", "--dmax": "2", "--nmax": "2"} | {flag: "0"}
+    code, out, err = run_cli("table", *[x for pair in argv.items() for x in pair])
+    assert (code, out, err) == (2, "", "error: --dmax and --nmax must be >= 1\n")
+
+
 def table_reference(v: int, dmax: int, nmax: int, gnomons: bool, fmt: str) -> str:
     """The table command's output, built here one ``hypersolid`` call per cell."""
     ns, ds = list(range(1, nmax + 1)), list(range(1, dmax + 1))

@@ -160,6 +160,27 @@ def test_trial_division_is_charged_by_the_size_of_the_target(monkeypatch):
     assert _primes.factor(2**40) == {2: 40}
 
 
+def test_factor_gives_up_when_its_trial_divisions_overrun(monkeypatch):
+    # the prime 1000003 lies below TRIAL_LIMIT**2, so its only cost is one
+    # unit per trial division by the 168 primes up to 1000; one unit short,
+    # the trial loop ends over budget
+    t = 1000003
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 168)
+    assert _primes.factor(t) == {t: 1}
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 167)
+    assert _primes.factor(t) is None
+
+
+def test_brent_stops_before_a_batch_it_cannot_afford():
+    # the walk for 1000003 * 1000033 splits it at step 1022, in the second
+    # 128-step batch of the cycle of length 256, whose advance ends at step 766
+    m = 1000003 * 1000033
+    assert _primes._brent(m, 1022) == (1000033, 1022)
+    assert _primes._brent(m, 765) == (None, 510)  # the advance does not fit
+    assert _primes._brent(m, 830) == (None, 766)  # the advance fits, its first batch not
+    assert _primes._brent(m, 1021) == (None, 894)  # the second batch does not fit
+
+
 @pytest.mark.parametrize("v", [2, 3, 5, 8, 13])
 def test_factorial_divisors_match_a_scan(v):
     rng = random.Random(v)

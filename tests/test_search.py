@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import time
 
 import pytest
@@ -163,6 +164,36 @@ def test_the_rank_search_matches_a_plain_bisection(seed):
         else:
             value = int(10 ** rng.uniform(0, rng.choice((4, 12, 40))))
         assert search._least_rank(v, d, value) == least_rank_reaching(v, d, value), (v, d, value)
+
+
+@pytest.mark.parametrize("guess", [
+    lambda answer: 1,
+    lambda answer: min(64 * answer, COORD_LIMIT - 1),
+    lambda answer: COORD_LIMIT - 1,
+], ids=["rank-1", "64-times", "last-rank"])
+def test_the_rank_search_gallops_from_any_guess(monkeypatch, guess):
+    # a guess below the answer gallops up, one above it gallops down; the step
+    # doubles either way, so a search costs about 2 log2(2**32) evaluations.
+    # The count is checked on every call, so a gallop that stops doubling
+    # fails at once instead of walking the domain
+    calls = []
+    scalar = search._closed
+
+    def counted(v, d, n):
+        calls.append(n)
+        assert len(calls) <= 4 * 32, "the rank search is not logarithmic"
+        return scalar(v, d, n)
+
+    monkeypatch.setattr(search, "_closed", counted)
+    for v, d, value in [(1, 1, 10**6), (2, 0, 12345), (2, 3, 10**9), (3, 1, 2), (2, 1, 1),
+                        (5, 7, 10**15), (2, 0, 2**33)]:
+        want = least_rank_reaching(v, d, value)
+        hit = want < COORD_LIMIT and hypersolid(v, d, want) == value
+        monkeypatch.setattr(search, "_rank_guess", lambda v, d, value: guess(want))
+        calls.clear()
+        assert search._least_rank(v, d, value) == want, (v, d, value)
+        calls.clear()
+        assert rank_of(value, v, d) == (want if hit else None), (v, d, value)
 
 
 class Index:
@@ -575,6 +606,21 @@ def test_dimension_one_answers_for_the_whole_rank_domain_at_once():
     assert all(h.value == hypersolid(*h.triple) == 10**12 + 1 for h in wide)
 
 
+def test_dimension_one_factors_t_minus_one_by_pollard_brent(both_routes):
+    # t - 1 is the product of two primes past TRIAL_LIMIT, so trial division
+    # leaves it whole and Pollard-Brent splits it; the ranks run from about
+    # 2**18 to the top of the domain, far past a walk
+    p, q = 1048583, 1073741827
+    target = p * q + 1
+    assert target == 1125907426181142
+    assert _primes.factor(p * q) == {p: 1, q: 1}
+    want = [(1, p, q + 1), (1, q, p + 1)]
+    # S(1, d, n) = 1 + d(n - 1); naive_value's factorials are out of reach at
+    # rank 2**30
+    assert all(1 + d * (n - 1) == target for _, d, n in want)
+    assert both_routes(target, v_range=(1, 1), n_max=COORD_LIMIT - 1) == (want, want)
+
+
 def test_dimension_zero_is_decided_at_once():
     top = COORD_LIMIT - 1
     assert representations(5, v_range=(0, 0), d_range=(0, 4), n_min=0, n_max=top) == []
@@ -631,10 +677,12 @@ def test_dimension_one_walks_the_ranks_it_can_afford_when_factoring_fails(monkey
     assert want == sorted((1, HARD // q, q + 1) for q in (10, 25, 50, 125, 250))
     monkeypatch.setattr(_primes, "FACTOR_BUDGET", HARD_TEST_UNITS - 1)
     assert _primes.factor(HARD) is None
-    # q = 8..299: 292 ranks, more than _DIRECT_RANKS and within the budget
+    # ranks 9..300: 292 ranks, more than _DIRECT_RANKS and within the budget
     got = representations(target, v_range=(1, 1), n_max=300)
     assert [tuple(h.triple) for h in got] == want
-    with pytest.raises(RangeError, match="would take 392 ranks or differences"):
+    message = ("the target (35 bits) does not factor within 350 steps, "
+               "and walking dimension 1 instead would take 392 ranks")
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
         representations(target, v_range=(1, 1), n_max=400)
 
 
