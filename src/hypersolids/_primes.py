@@ -135,14 +135,14 @@ def factor(t: int) -> dict[int, int] | None:
         if p >= TRIAL_LIMIT or p * p > t:
             break
         budget -= cost
+        if budget < 0:
+            return None
         while t % p == 0:
             t //= p
             factors[p] = factors.get(p, 0) + 1
             budget -= cost
             if budget < 0:
                 return None
-    if budget < 0:
-        return None
     pending = [t] if t > 1 else []
     while pending:
         m = pending.pop()

@@ -19,20 +19,24 @@ S = C(v+n-2, v-1) * (v + d(n-1)) / v gives
 so the rank of every hit divides v! * t; at v = 2 this is the polygonal
 test n(2 + (n-1)d) = 2t.  At v = 1, S(1, d, n) = 1 + d(n - 1) has base 1
 and slope n - 1, so a target t > 1 hits exactly where n - 1 divides t - 1,
-and the difference range bounds the ranks from both sides.  A dimension
-with few ranks checks each of them, and one with more only those the
-divisors of v! * t (or of t - 1) allow; ``_primes.factor`` factors each
-such number at most once per call.  The work is the factoring plus a few
-divisors per dimension, where a walk over the ranks takes about sqrt(2t)
-of them at v = 2.  Factoring has one work budget,
-``_primes.FACTOR_BUDGET``; past it a dimension walks its ranks if they fit
-the same budget, and otherwise ``RangeError`` is raised.  The dimension
-loop ends at the first v where S(v, d_lo, min(max(n_min, 2), 3)), a lower
-bound on every cell of rank >= 2 in the box, exceeds the target.  The
-answers as large as the box come in closed form: one comparison decides
-dimension 0, where S(0, d, n) = d from rank 2 on, and a target of 1 hits
-rank 1 and d = 0 at v = 1.  By default the box is clipped to the
-coordinate domain: ranks and differences below ``COORD_LIMIT``.
+and the difference range bounds the ranks from both sides.  These checks
+cover d >= 1; S(v, 0, n) strictly increases in n for v >= 2, so a d = 0
+hit can sit only at the least rank where it reaches t, which is checked
+on its own.  A dimension with few ranks checks each of them, and one with
+more only those the divisors of v! * t (or of t - 1) allow;
+``_primes.factor`` factors each such number at most once per call.  The
+work is the factoring plus a few divisors per dimension, where a walk over
+the ranks takes about sqrt(2t) of them at v = 2.  Factoring has one work
+budget, ``_primes.FACTOR_BUDGET``; past it a dimension walks its ranks if
+they fit the same budget, and otherwise ``RangeError`` is raised.  The
+dimension loop ends at the first v where S(v, d_lo, min(max(n_min, 2), 3)),
+a lower bound on every cell of rank >= 2 in the box, exceeds the target.
+Every answer that can be as large as the box comes from one closed-form helper,
+``_box_hits``: one comparison decides dimension 0, where S(0, d, n) = d
+from rank 2 on, and a target of 1 hits only rank 1 of every dimension
+v >= 1 and d = 0 of dimension 1, so it never enters the dimension loop.
+By default the box is clipped to the coordinate domain: ranks and
+differences below ``COORD_LIMIT``.
 """
 
 from __future__ import annotations
@@ -135,36 +139,25 @@ def _rank_guess(v: int, d: int, value: int) -> int:
 
 
 def _rank_hits(
-    v: int, ranks: Iterable[int], top: int, target: int, d_lo: int, d_hi: int
+    v: int, ranks: Iterable[int], target: int, d_lo: int, d_hi: int
 ) -> Iterator[RepresentationHit]:
-    """The hits (v, d, n) with n in ``ranks`` (ascending) and d in [d_lo, d_hi].
+    """The hits (v, d, n) with n in ``ranks`` (ascending, each >= 2) and d >= 1.
 
-    Needs v >= 1.  From the first rank where even the smallest nonzero
-    difference of the box overshoots, only a d = 0 hit is left.  At v >= 2
-    S(v, 0, n) is strictly increasing, so its one candidate is ``top``, the
-    least rank where S(v, d_lo, n) reaches the target: the ranks after that
-    first one are skipped and ``top`` is checked in their place.  At v = 1,
-    S(1, 0, n) = 1 is below every target the search asks about.
+    Needs v >= 1, and checks d in [max(d_lo, 1), d_hi]: at most one hit per
+    rank, found by one exact division.  From the first rank where even
+    d = max(d_lo, 1) overshoots, no later rank can hit, so the checks stop
+    there.  The caller checks d = 0 itself: at v >= 2 S(v, 0, n) strictly
+    increases in n, so only one rank can hold a d = 0 hit.
     """
     d_step = max(d_lo, 1)
     for n in ranks:
         base = comb(v + n - 2, v - 1)  # value at d = 0
         slope = base * (n - 1) // v  # C(v+n-2, v), the increment per unit of d
-        if slope == 0:
-            # rank 0 or 1: value is constant in d
-            if base == target:
-                yield from (
-                    RepresentationHit(IndexTriple(v, d, n), target)
-                    for d in range(d_lo, d_hi + 1)
-                )
-            continue
         d, leftover = divmod(target - base, slope)
-        if leftover == 0 and d_lo <= d <= d_hi:
-            yield RepresentationHit(IndexTriple(v, d, n), target)
         if d < d_step:
-            if d_lo == 0 and top > n and _closed(v, 0, top) == target:
-                yield RepresentationHit(IndexTriple(v, 0, top), target)
             return
+        if leftover == 0 and d <= d_hi:
+            yield RepresentationHit(IndexTriple(v, d, n), target)
 
 
 def _candidate_ranks(
@@ -206,27 +199,29 @@ def _candidate_ranks(
     return ranks
 
 
-def _low_hits(
-    v: int, n_min: int, n_max: int, target: int, d_lo: int, d_hi: int
+def _box_hits(
+    v_lo: int, v_hi: int, n_min: int, n_max: int, target: int, d_lo: int, d_hi: int
 ) -> Iterator[RepresentationHit]:
-    """The hits of dimension 0, or of dimension 1 at a target of 1, in closed form.
+    """The hits whose number can be as large as the box, in closed form.
 
-    These are the answers that can be as large as the box.  S(0, d, n) = d
-    for n >= 2 and 0 below, so at v = 0 the target hits every rank >= 2
-    when it lies in [d_lo, d_hi], and nothing otherwise.  S(1, d, n) =
-    1 + d(n - 1) for n >= 1 and 0 at n = 0, so at v = 1 a target of 1 hits
-    rank 1 with every difference and d = 0 with every rank.
+    S(0, d, n) = d for n >= 2 and 0 below, so at v = 0 the target hits every
+    rank >= 2 when it lies in [d_lo, d_hi], and nothing otherwise.  Rank 1
+    holds 1 in every dimension v >= 1, and S(1, 0, n) = 1 at every rank
+    n >= 1; no other cell with v >= 1 holds 1, since rank 0 holds 0 and
+    S(v, d, n) >= S(v, d, 2) = v + d from rank 2 on.  So a target of 1 hits
+    rank 1 of every dimension v >= 1 with every difference, and d = 0 of
+    dimension 1 at every rank >= 2: these are all of its hits there.
     """
-    if v == 0:
-        if d_lo <= target <= d_hi:
-            yield from (RepresentationHit(IndexTriple(0, target, n), target)
-                        for n in range(max(n_min, 2), n_max + 1))
+    ranks = range(max(n_min, 2), n_max + 1)
+    if v_lo == 0 and d_lo <= target <= d_hi:
+        yield from (RepresentationHit(IndexTriple(0, target, n), target) for n in ranks)
+    if target > 1:
         return
     if n_min <= 1 <= n_max:
-        yield from (RepresentationHit(IndexTriple(1, d, 1), 1) for d in range(d_lo, d_hi + 1))
-    if d_lo == 0:
-        yield from (RepresentationHit(IndexTriple(1, 0, n), 1)
-                    for n in range(max(n_min, 2), n_max + 1))
+        yield from (RepresentationHit(IndexTriple(v, d, 1), 1)
+                    for v in range(max(v_lo, 1), v_hi + 1) for d in range(d_lo, d_hi + 1))
+    if v_lo <= 1 <= v_hi and d_lo == 0:
+        yield from (RepresentationHit(IndexTriple(1, 0, n), 1) for n in ranks)
 
 
 def _range_of(name: str, pair: object) -> tuple[int, int]:
@@ -265,17 +260,20 @@ def representations(
     of its ranks by one exact division when there are at most
     ``_DIRECT_RANKS``, and otherwise only those the divisors allow: the
     number (target or target - 1) is factored once per call, when the
-    first dimension needs it.  The checks stop at the first rank where
-    even d = max(d_lo, 1) overshoots; after it only the last rank can hold
-    a (d = 0) hit.  When factoring would cost more than
+    first dimension needs it.  The checks cover d >= max(d_lo, 1) and stop
+    at the first rank where even that difference overshoots.  At v >= 2 a
+    d = 0 hit can sit only at the least rank where S(v, 0, n) reaches the
+    target, since S(v, 0, n) strictly increases in n; that one rank is
+    checked on its own.  When factoring would cost more than
     ``_primes.FACTOR_BUDGET`` steps, a dimension walks its ranks instead
     if the walk (about sqrt(2 * target) ranks at v = 2) fits the same
     budget, and otherwise ``RangeError`` is raised.
 
-    At v = 0 one comparison decides the box, and at v = 1 a target of 1
-    hits rank 1 and d = 0 (see ``_low_hits``).  Only these answers, as
-    large as the box, cost their size: a target in the difference range at
-    v = 0, and a target of 1 at v = 1.
+    The answers that can be as large as the box all come from
+    ``_box_hits``, in closed form: at v = 0 one comparison decides the box,
+    and a target of 1 hits rank 1 of every dimension v >= 1 and d = 0 of
+    dimension 1, and no other cell with v >= 1.  Only these answers cost
+    their size, and a target of 1 never enters the dimension loop.
 
     The dimension loop stops at the first v where S(v, d_lo, n_low)
     exceeds the target, with n_low = min(max(n_min, 2), 3): S never
@@ -283,9 +281,7 @@ def representations(
     1, and every other rank of the box is at least n_low.  Rank 3 caps the
     test so that it costs one small binomial however large n_min is.  So
     a wide dimension range costs only the dimensions that can still hit:
-    about sqrt(2 * target) of them at the default ``n_min`` of 3.  Only a
-    target of 1 with rank 1 in the box walks every dimension, and it has a
-    hit in each.
+    about sqrt(2 * target) of them at the default ``n_min`` of 3.
     """
     target = _exact_int("target", target)
     if target < 1:
@@ -306,24 +302,23 @@ def representations(
         raise RangeError("v < 2 admits arbitrarily large ranks; pass an explicit n_max")
     else:
         n_max = COORD_LIMIT - 1
-    # ranks 0 and 1 hold only 0 and 1; every other cell of the box is at
-    # least S(v, d_lo, n_low), which never decreases in v.  Any rank from 2
-    # to max(n_min, 2) bounds it; rank 3 keeps the binomial small.
+    hits = list(_box_hits(v_lo, v_hi, n_min, n_max, target, d_lo, d_hi))
+    # every hit of a target of 1 is box-sized.  For t > 1 ranks 0 and 1
+    # (holding 0 and 1) never hit, and every other cell of dimension v >= 1
+    # is at least S(v, d_lo, n_low), which never decreases in v.  Any rank
+    # from 2 to max(n_min, 2) bounds it; rank 3 keeps the binomial small.
     n_low = min(max(n_min, 2), 3)
-    bounded = target > 1 or n_min >= 2
     factored: dict[int, dict[int, int] | None] = {}  # see _candidate_ranks
-
-    hits: list[RepresentationHit] = []
-    for v in range(v_lo, v_hi + 1):
-        if bounded and _closed(v, d_lo, n_low) > target:
+    for v in range(max(v_lo, 1), v_hi + 1) if target > 1 else ():
+        if _closed(v, d_lo, n_low) > target:
             break  # this and every later dimension overshoot
-        if v == 0 or (v == 1 and target == 1):
-            hits += _low_hits(v, n_min, n_max, target, d_lo, d_hi)
-            continue
         if v >= 2:
             # S never decreases in n or d: past the least rank where
             # S(v, d_lo, n) reaches the target, every cell overshoots
-            lo, top = n_min, min(_least_rank(v, d_lo, target), n_max)
+            lo, top = max(n_min, 2), min(_least_rank(v, d_lo, target), n_max)
+            # S(v, 0, n) strictly increases in n, so d = 0 can hit only at top
+            if d_lo == 0 and lo <= top and _closed(v, 0, top) == target:
+                hits.append(RepresentationHit(IndexTriple(v, 0, top), target))
         elif d_hi:
             # 1 + d(n - 1) = target needs d_lo <= (target - 1) / (n - 1) <= d_hi
             lo = max(n_min, 2, 1 - (1 - target) // d_hi)
@@ -331,6 +326,6 @@ def representations(
         else:
             continue  # every cell of the box is 1
         ranks = _candidate_ranks(v, target, d_lo, lo, top, factored)
-        hits += _rank_hits(v, ranks, top, target, d_lo, d_hi)
+        hits += _rank_hits(v, ranks, target, d_lo, d_hi)
     hits.sort(key=lambda hit: hit.triple)
     return hits

@@ -586,6 +586,37 @@ def test_represent_criterion_box(run_cli):
     )
 
 
+def value_by_math_comb(v: int, d: int, n: int) -> int:
+    """S(v, d, n) from math.comb: C(v+n-2, v-1) + d * C(v+n-2, v), and 0 at rank 0."""
+    if n == 0 or v + n < 2:
+        return 0
+    m = v + n - 2
+    return (math.comb(m, v - 1) if v else 0) + d * math.comb(m, v)
+
+
+@pytest.mark.parametrize("value, vmax, dmax, nmax, count", [(1, 4, 2, 4, 18), (3, 4, 5, 6, 10)])
+def test_represent_low_dimension_goldens(run_cli, value, vmax, dmax, nmax, count):
+    # the box-sized answers (dimension 0, rank 1, and d = 0 of dimension 1)
+    # beside the rank checks; the goldens hold both formats byte for byte
+    box = ("--value", str(value), "--vmin", "0", "--vmax", str(vmax), "--dmax", str(dmax),
+           "--nmin", "0", "--nmax", str(nmax))
+    outputs = {}
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli("represent", *box, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN_DIR / f"represent_value{value}.{fmt}").read_bytes()
+        outputs[fmt] = out
+    rows = [tuple(map(int, row.split(","))) for row in outputs["csv"].splitlines()[1:]]
+    assert len(rows) == count
+    assert all(hit == value == value_by_math_comb(v, d, n) for v, d, n, hit in rows)
+    # and no cell of the box is missing
+    assert [row[:3] for row in rows] == [
+        (v, d, n)
+        for v in range(vmax + 1) for d in range(dmax + 1) for n in range(nmax + 1)
+        if value_by_math_comb(v, d, n) == value
+    ]
+
+
 def test_represent_default_difference_cap_stays_in_the_coordinate_domain(run_cli):
     # with --dmin and no --dmax the difference range is clipped below 2**32
     code, out, err = run_cli("represent", "--value", str(10**10), "--dmin", "1", "--vmax", "3")

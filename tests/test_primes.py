@@ -163,12 +163,42 @@ def test_trial_division_is_charged_by_the_size_of_the_target(monkeypatch):
 def test_factor_gives_up_when_its_trial_divisions_overrun(monkeypatch):
     # the prime 1000003 lies below TRIAL_LIMIT**2, so its only cost is one
     # unit per trial division by the 168 primes up to 1000; one unit short,
-    # the trial loop ends over budget
+    # the last trial division is refused before it runs
     t = 1000003
     monkeypatch.setattr(_primes, "FACTOR_BUDGET", 168)
     assert _primes.factor(t) == {t: 1}
     monkeypatch.setattr(_primes, "FACTOR_BUDGET", 167)
     assert _primes.factor(t) is None
+
+
+def test_trial_division_stops_when_its_budget_runs_out(monkeypatch):
+    # 1000003 * 1000033 has no prime factor below TRIAL_LIMIT, so each trial
+    # prime costs one division and one unit; at a budget of 10 the 11th
+    # prime is charged, found over budget and never divided by
+    drawn = []
+    trial_primes = _primes._primes_upto
+
+    def counted(m):
+        for p in trial_primes(m):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(_primes, "_primes_upto", counted)
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 10)
+    assert _primes.factor(1000003 * 1000033) is None
+    assert drawn == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def test_factorial_divisors_refuse_primes_past_the_sieve_cap(monkeypatch):
+    # a divisor up to hi needs the primes of v! up to min(v, hi); past the
+    # cap the sieve does not hold them
+    _fresh_sieve(monkeypatch)
+    monkeypatch.setattr(_primes, "SIEVE_CAP", 3000)
+    message = "a rank past 3000 in a dimension past 3000 needs more primes than the sieve keeps"
+    with pytest.raises(kernel.RangeError, match=f"^{message}$"):
+        _primes.factorial_divisors(3001, {}, 1, 3001)
+    # at the cap the sieve holds the primes it needs; every n <= 3000 divides 3001!
+    assert _primes.factorial_divisors(3001, {}, 1, 3000) == list(range(1, 3001))
 
 
 def test_brent_stops_before_a_batch_it_cannot_afford():

@@ -388,6 +388,19 @@ def test_rank_one_hits_reach_the_last_dimension():
     assert got == naive_hits(1, 0, 40, 0, 0, 0, 1) == [(v, 0, 1) for v in range(1, 41)]
 
 
+def test_a_target_of_1_at_rank_1_hits_every_dimension_of_a_wide_range():
+    # each of the 199999 dimensions holds 1 at rank 1; no dimension is searched
+    hits = representations(1, v_range=(2, 200000), d_range=(0, 0), n_min=1, n_max=1)
+    assert [tuple(h.triple) for h in hits] == [(v, 0, 1) for v in range(2, 200001)]
+    assert all(h.value == 1 for h in hits)
+
+
+def test_a_target_of_1_past_rank_1_has_no_hits_from_dimension_2_on():
+    # from rank 2 on S(v, d, n) >= v + d >= 2 for v >= 2: the whole dimension
+    # domain answers at once
+    assert representations(1, v_range=(2, 2**32 - 1), n_min=2) == []
+
+
 def test_a_wide_dimension_range_stops_at_the_last_dimension_that_can_hit(closed_calls):
     # S(v, 0, 3) = v(v + 1)/2 passes 10 at v = 5, so no later dimension is
     # visited; the loop used to walk all 2**32 - 2 of them (hours)
