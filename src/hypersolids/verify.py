@@ -11,7 +11,10 @@ reads every fixed-total slice once per total, through this module's names
 ``sum_fixed_sv``, ``sum_fixed_sd`` and ``sum_fixed_sn``; its cross-partition
 and zero-census cases add up the enumerated sums and nonzero counts of
 those same reports, one total per axis, and build no cell of their own.
-Failures are sorted by case key, so the report does not depend on the
+A case's key is a format template and its arguments, as one tuple such as
+``("adjacency d={} c={} v={}", d, c, v)``; it is formatted into the case's
+name only when the case fails, so a passing case builds no string.
+Failures are sorted by that name, so the report does not depend on the
 order the cases were produced in.
 """
 
@@ -86,13 +89,14 @@ class VerifyOutcome(_Record):
         return not self.failures
 
 
-def _run_cases(suite: str, results: Iterable[tuple[str, object, object]]) -> VerifyOutcome:
+def _run_cases(suite: str, results: Iterable[tuple[str | tuple, object, object]]) -> VerifyOutcome:
     cases_run = 0
     failures = []
     for key, expected, actual in results:
         cases_run += 1
         if expected != actual:
-            failures.append((key, str(expected), str(actual)))
+            name = key if type(key) is str else key[0].format(*key[1:])
+            failures.append((name, str(expected), str(actual)))
     failures.sort(key=lambda failure: failure[0])
     return VerifyOutcome(suite=suite, cases_run=cases_run, failures=tuple(failures))
 
@@ -100,18 +104,18 @@ def _run_cases(suite: str, results: Iterable[tuple[str, object, object]]) -> Ver
 # ---------------------------------------------------------------- oracle
 
 
-def _oracle_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
+def _oracle_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
     for v in range(b.v_max + 1):
         for d in range(b.d_max + 1):
             for n in range(b.n_max + 1):
                 closed, summed = hypersolid(v, d, n, "closed"), hypersolid(v, d, n, "summation")
-                yield f"eval v={v} d={d} n={n}", closed, summed
+                yield ("eval v={} d={} n={}", v, d, n), closed, summed
 
 
 # --------------------------------------------------------------- gnomons
 
 
-def _gnomon_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
+def _gnomon_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
     # Each decomposition needs rank >= 1 plus its own stepped coordinate
     # >= 1, and all three hold exactly on v + n >= 3 (at v = n = 1 the
     # rank/dimension steps break, at v = 0, n = 2 the difference step does).
@@ -127,12 +131,12 @@ def _gnomon_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
             for n in range(max(1, 3 - v), b.n_max + 1):
                 value = row[n]
                 if v >= 1:
-                    yield (f"rank-step v={v} d={d} n={n}", value,
+                    yield (("rank-step v={} d={} n={}", v, d, n), value,
                            row[n - 1] + n_gnomon(v, d, n))
-                    yield (f"dimension-step v={v} d={d} n={n}",
+                    yield (("dimension-step v={} d={} n={}", v, d, n),
                            value - below[d][n], v_gnomon(v, d, n))
                 if d >= 1:
-                    yield (f"difference-step v={v} d={d} n={n}", value,
+                    yield (("difference-step v={} d={} n={}", v, d, n), value,
                            closed[d - 1][n] + d_gnomon(v, d, n))
         below = closed
 
@@ -140,7 +144,7 @@ def _gnomon_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
 # ----------------------------------------------------------- corollaries
 
 
-def _corollary_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
+def _corollary_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
     # Each closed value, row total and diagonal total is evaluated once per
     # difference and read by every case that names it.  The values are
     # scalar hypersolid calls, never triangle rows: triangles are built by
@@ -154,41 +158,42 @@ def _corollary_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
         ]
         for c in range(3, b.c_max + 1):
             for v in range(1, c):
-                yield (f"adjacency d={d} c={c} v={v}", closed[v][c - v],
+                yield (("adjacency d={} c={} v={}", d, c, v), closed[v][c - v],
                        closed[v][c - 1 - v] + closed[v - 1][c - v])
         for v in range(2, b.v_max + 1):
             column = tuple(closed[v][: b.n_max + 1])
             below = accumulate(closed[v - 1][: b.n_max + 1])
-            yield f"column-compilation d={d} v={v}", column, tuple(below)
+            yield ("column-compilation d={} v={}", d, v), column, tuple(below)
         for n in range(2, b.n_max + 1):
             for v in range(b.v_max + 1):
-                yield (f"row-compilation d={d} n={n} v={v}",
+                yield (("row-compilation d={} n={} v={}", d, n, v),
                        closed[v][n + 1], compile_row(d, n, v))
         triangle = build_triangle(d, b.c_max)
         totals = [row_sum(d, c) for c in range(b.c_max + 1)]
         for c in range(b.c_max + 1):
-            yield f"row-total d={d} c={c}", sum(triangle.row(c)), totals[c]
+            yield ("row-total d={} c={}", d, c), sum(triangle.row(c)), totals[c]
             if c >= 3:
-                yield f"row-doubling d={d} c={c}", totals[c], 2 * totals[c - 1]
-                yield (f"row-cumulative d={d} c={c}", totals[c] - (d + 1),
+                yield ("row-doubling d={} c={}", d, c), totals[c], 2 * totals[c - 1]
+                yield (("row-cumulative d={} c={}", d, c), totals[c] - (d + 1),
                        sum(totals[2:c]))
         seeded = [d, d + 1]
         while len(seeded) < 29:
             seeded.append(seeded[-1] + seeded[-2])
-        yield f"diagonal-seeded d={d} m=2", tuple(seeded), tuple(recurrence_sequence(d, 2, 29))
+        yield (("diagonal-seeded d={} m=2", d), tuple(seeded),
+               tuple(recurrence_sequence(d, 2, 29)))
         for m in (2, 3, 4):
             a = [0, 0, *(diagonal_sum(d, m, k) for k in range(2, 31))]  # a[k], k >= 2
             for k in range(m + 2, 31):
-                yield f"diagonal-recurrence d={d} m={m} k={k}", a[k], a[k - 1] + a[k - m]
+                yield ("diagonal-recurrence d={} m={} k={}", d, m, k), a[k], a[k - 1] + a[k - m]
     for c in range(b.c_max + 1):
         for v in range(c + 1):
-            yield f"pascal-reduction c={c} v={v}", True, pascal_entry_check(c, v)
+            yield ("pascal-reduction c={} v={}", c, v), True, pascal_entry_check(c, v)
 
 
 # -------------------------------------------------------------- theorems
 
 
-def _theorem_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
+def _theorem_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
     for s in range(2, b.s_max + 1):
         total = sum_fixed_s(s)
         # (case name, pinned coordinate, its slices k = 0..s, first degenerate k)
@@ -200,27 +205,27 @@ def _theorem_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
         for name, coord, reports, degenerate in axes:
             for k, report in enumerate(reports):
                 if k < degenerate:
-                    yield f"{name} s={s} {coord}={k}", True, report.consistent
+                    yield ("{} s={} {}={}", name, s, coord, k), True, report.consistent
                     continue
                 # a degenerate slice: no closed form, and every cell in it is zero
                 actual = (report.formula_sum, report.enumerated_sum,
                           report.formula_multitude, report.enumerated_multitude)
-                yield f"{name}-degenerate s={s} {coord}={k}", (None, 0, None, 0), actual
-        yield f"simplex-total s={s}", True, total.consistent
+                yield ("{}-degenerate s={} {}={}", name, s, coord, k), (None, 0, None, 0), actual
+        yield ("simplex-total s={}", s), True, total.consistent
         partition = tuple(sum(r.enumerated_sum for r in slices) for _, _, slices, _ in axes)
-        yield f"cross-partition s={s}", (total.enumerated_sum,) * 3, partition
+        yield ("cross-partition s={}", s), (total.enumerated_sum,) * 3, partition
         # each axis's slices partition the simplex's C(s + 2, 2) cells, so
         # each axis counts all of its zeros
         cells = (s + 1) * (s + 2) // 2
         census = tuple(cells - sum(r.enumerated_multitude for r in slices)
                        for _, _, slices, _ in axes)
-        yield f"zero-census s={s}", (s + 3,) * 3, census
+        yield ("zero-census s={}", s), (s + 3,) * 3, census
 
 
 # --------------------------------------------------------------- lemmas
 
 
-def _lemma_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
+def _lemma_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
     # The grid is walked in product order, so a lemma with a running sum
     # meets the parameter it runs along in rising order from the first value
     # in its domain, whatever the others hold: each case takes the next
@@ -232,7 +237,7 @@ def _lemma_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
         if lemma.along is None:
             for args in product(grid, repeat=len(lemma.params)):
                 if lemma.domain(*args):
-                    yield template.format(*args), True, lemma.lhs(*args) == lemma.rhs(*args)
+                    yield (template, *args), True, lemma.lhs(*args) == lemma.rhs(*args)
             continue
         i = lemma.params.index(lemma.along)
         passes: dict[tuple[int, ...], Iterator[int]] = {}
@@ -244,10 +249,10 @@ def _lemma_cases(b: GridBounds) -> Iterator[tuple[str, object, object]]:
                     partials = passes[others] = lemma.running(*others)[1]
                 total = next(partials)
                 holds = lemma.lhs(*args, total) == lemma.rhs(*args, total)
-                yield template.format(*args), True, holds
+                yield (template, *args), True, holds
 
 
-_SUITE_BUILDERS: dict[str, Callable[[GridBounds], Iterator[tuple[str, object, object]]]] = {
+_SUITE_BUILDERS: dict[str, Callable[[GridBounds], Iterator[tuple[tuple, object, object]]]] = {
     "oracle": _oracle_cases,
     "gnomons": _gnomon_cases,
     "corollaries": _corollary_cases,
@@ -256,14 +261,18 @@ _SUITE_BUILDERS: dict[str, Callable[[GridBounds], Iterator[tuple[str, object, ob
 }
 
 
+def _check_suite(name: str) -> None:
+    if name not in _SUITE_BUILDERS:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
+
+
 def run_suite(name: str, bounds: GridBounds | None = None, jobs: int = 1) -> VerifyOutcome:
     """Run one named suite and return its outcome.
 
     Suites run in one thread; ``jobs`` is accepted for compatibility and
     does not change the work or the outcome.
     """
-    if name not in _SUITE_BUILDERS:
-        raise ValueError(f"unknown suite {name!r}; expected one of {SUITES + ('all',)}")
+    _check_suite(name)
     b = bounds or GridBounds()
     return _run_cases(name, _SUITE_BUILDERS[name](b))
 
@@ -278,4 +287,6 @@ def run_suites(
         selected = [names]
     else:
         selected = list(names)
+    for name in selected:  # every name before any suite runs
+        _check_suite(name)
     return [run_suite(name, bounds=bounds, jobs=jobs) for name in selected]

@@ -171,6 +171,17 @@ def test_factor_gives_up_when_its_trial_divisions_overrun(monkeypatch):
     assert _primes.factor(t) is None
 
 
+def test_a_primality_test_is_charged_for_its_witnesses_and_its_lucas_steps(monkeypatch):
+    # the prime 124500499 lies past TRIAL_LIMIT**2: 172 trial divisions, then
+    # one unit per bit (27) for each of the 13 witnesses and two for the
+    # strong Lucas test, all charged before the test runs
+    t = 124500499
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 172 + 27 * (13 + 2))
+    assert _primes.factor(t) == {t: 1}
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 172 + 27 * (13 + 2) - 1)
+    assert _primes.factor(t) is None
+
+
 def test_trial_division_stops_when_its_budget_runs_out(monkeypatch):
     # 1000003 * 1000033 has no prime factor below TRIAL_LIMIT, so each trial
     # prime costs one division and one unit; at a budget of 10 the 11th
@@ -199,6 +210,53 @@ def test_factorial_divisors_refuse_primes_past_the_sieve_cap(monkeypatch):
         _primes.factorial_divisors(3001, {}, 1, 3001)
     # at the cap the sieve holds the primes it needs; every n <= 3000 divides 3001!
     assert _primes.factorial_divisors(3001, {}, 1, 3000) == list(range(1, 3001))
+
+
+def test_the_primality_test_agrees_with_trial_division_below_a_million():
+    # an odd m in (1024, 10**6) is prime iff no prime up to 1000 divides it,
+    # that is, iff it is coprime to their product
+    primorial = math.prod(p for p in range(2, 1001) if trial_division(p) == {p: 1})
+    for m in range(1025, 10**6, 2):
+        assert _primes._is_probable_prime(m) == (math.gcd(m, primorial) == 1), m
+
+
+#: The strong Lucas pseudoprimes with Selfridge's parameters below 10**5
+#: (OEIS A217255): odd composites that the Lucas half alone passes
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                             58519, 75077, 97439]
+
+
+def test_the_lucas_half_passes_exactly_its_known_pseudoprimes():
+    passed = [m for m in range(3, 10**5, 2) if _primes._is_strong_lucas_probable_prime(m)]
+    composites = [m for m in passed if trial_division(m) != {m: 1}]
+    assert composites == STRONG_LUCAS_PSEUDOPRIMES
+    for m in composites[:3]:
+        assert not _primes._is_probable_prime(m)
+
+
+@pytest.mark.parametrize("p", [1093, 3511, 1000003, 2**61 - 1])
+def test_a_perfect_square_is_rejected_before_the_search_for_d(monkeypatch, p):
+    # 1093**2 and 3511**2 are strong pseudoprimes to base 2.  No D has
+    # (D / p**2) = -1, so the search would run on until |D| = p
+    assert not _primes._is_probable_prime(p * p)
+
+    def no_search(a, m):
+        raise AssertionError(f"the search for D ran on a square at D = {a}")
+
+    monkeypatch.setattr(_primes, "_jacobi", no_search)
+    assert not _primes._is_strong_lucas_probable_prime(p * p)
+
+
+def test_the_least_pseudoprime_to_every_witness_is_not_taken_as_prime(monkeypatch):
+    # the least strong pseudoprime to all thirteen Miller-Rabin bases
+    m = 3317044064679887385961981
+    assert m == 1287836182261 * 2575672364521
+    assert all(pow(a, m - 1, m) == 1 for a in _primes._WITNESSES)
+    assert not _primes._is_probable_prime(m)
+    # Pollard-Brent needs 1833854 steps to split it, past the default budget
+    assert _primes.factor(m) is None
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 1 << 22)
+    assert _primes.factor(m) == {1287836182261: 1, 2575672364521: 1}
 
 
 def test_brent_stops_before_a_batch_it_cannot_afford():

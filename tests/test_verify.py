@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 from itertools import accumulate, product
 
 import pytest
@@ -21,6 +22,53 @@ from hypersolids.verify import SUITES, VerifyOutcome, _run_cases
 
 SMALL = GridBounds(v_max=3, d_max=3, n_max=4, c_max=8, s_max=10, m_max=8)
 ENLARGED = GridBounds(v_max=12, d_max=10, n_max=18, c_max=34, s_max=60, m_max=45)
+
+
+def named(cases):
+    """The stream with every key formatted as a failure names it; each key
+    must be a (template, *args) tuple, so a passing case builds no string."""
+    out = []
+    for key, expected, actual in cases:
+        assert type(key) is tuple, key
+        out.append((key[0].format(*key[1:]), expected, actual))
+    return out
+
+
+def naive_oracle_cases(b):
+    """The oracle sweep with its keys built by f-strings, reading both routes
+    through the name the shipped sweep uses."""
+    for v in range(b.v_max + 1):
+        for d in range(b.d_max + 1):
+            for n in range(b.n_max + 1):
+                yield (f"eval v={v} d={d} n={n}", verify.hypersolid(v, d, n, "closed"),
+                       verify.hypersolid(v, d, n, "summation"))
+
+
+def naive_theorem_cases(b):
+    """The theorems sweep with its keys built by f-strings, reading every
+    slice through the names the shipped sweep uses."""
+    for s in range(2, b.s_max + 1):
+        total = verify.sum_fixed_s(s)
+        axes = (
+            ("fixed-dimension", "v", [verify.sum_fixed_sv(s, k) for k in range(s + 1)], s + 1),
+            ("fixed-difference", "d", [verify.sum_fixed_sd(s, k) for k in range(s + 1)], s - 1),
+            ("fixed-rank", "n", [verify.sum_fixed_sn(s, k) for k in range(s + 1)], s),
+        )
+        for name, coord, reports, degenerate in axes:
+            for k, report in enumerate(reports):
+                if k < degenerate:
+                    yield f"{name} s={s} {coord}={k}", True, report.consistent
+                else:
+                    actual = (report.formula_sum, report.enumerated_sum,
+                              report.formula_multitude, report.enumerated_multitude)
+                    yield f"{name}-degenerate s={s} {coord}={k}", (None, 0, None, 0), actual
+        yield f"simplex-total s={s}", True, total.consistent
+        partition = tuple(sum(r.enumerated_sum for r in slices) for _, _, slices, _ in axes)
+        yield f"cross-partition s={s}", (total.enumerated_sum,) * 3, partition
+        cells = (s + 1) * (s + 2) // 2
+        census = tuple(cells - sum(r.enumerated_multitude for r in slices)
+                       for _, _, slices, _ in axes)
+        yield f"zero-census s={s}", (s + 3,) * 3, census
 
 
 def naive_lemma_cases(b):
@@ -130,7 +178,7 @@ def test_case_counts_of_every_suite(bounds, counts):
 
 
 def test_lemma_sweep_covers_every_catalogued_identity():
-    tags = {key.split()[0] for key, _, _ in verify._lemma_cases(SMALL)}
+    tags = {key.split()[0] for key, _, _ in named(verify._lemma_cases(SMALL))}
     assert tags == set(LEMMAS)
 
 
@@ -303,6 +351,48 @@ def test_unknown_suite_rejected():
         run_suite("everything")
 
 
+@pytest.mark.parametrize("name", ["all", "everything"])
+def test_an_unknown_suite_is_named_against_the_suites_only(name):
+    # "all" selects every suite in run_suites only, so the message offers
+    # exactly the names run_suite takes
+    message = f"unknown suite {name!r}; expected one of {SUITES}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite(name)
+
+
+def test_run_suites_checks_every_name_before_any_suite_runs(monkeypatch):
+    called = []
+
+    def spy(bounds):
+        called.append(bounds)
+        return iter(())
+
+    monkeypatch.setitem(verify._SUITE_BUILDERS, "oracle", spy)
+    message = f"unknown suite 'bogus'; expected one of {SUITES}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suites(["oracle", "bogus"], bounds=SMALL)
+    with pytest.raises(ValueError, match="'all'"):
+        run_suites(["oracle", "all"], bounds=SMALL)
+    assert called == []
+    # the spy is the oracle suite while the names are good
+    assert run_suites(["oracle"], bounds=SMALL) == [VerifyOutcome("oracle", 0, ())]
+    assert called == [SMALL]
+
+
+def test_a_failing_tuple_key_is_named_by_its_template():
+    cases = [
+        (("z-case v={} d={}", 3, 12), 1, 2),
+        (("a-case v={}", 1), 3, 3),
+        ("m-case", "yes", "no"),
+        (("m-case v={} n={}", 10, 2), 4, 5),
+    ]
+    outcome = _run_cases("doctored", iter(cases))
+    assert outcome.cases_run == 4
+    assert outcome.failures == (
+        ("m-case", "yes", "no"), ("m-case v=10 n=2", "4", "5"), ("z-case v=3 d=12", "1", "2"),
+    )
+
+
 def test_jobs_produce_identical_outcomes():
     for suite in SUITES:
         serial = run_suite(suite, bounds=SMALL, jobs=1)
@@ -343,7 +433,7 @@ def test_failure_path_reports_sorted_by_case_key():
          "c3", "zero"],
 )
 def test_corollary_stream_equals_the_naive_sweep(bounds):
-    assert list(verify._corollary_cases(bounds)) == list(naive_corollary_cases(bounds))
+    assert named(verify._corollary_cases(bounds)) == list(naive_corollary_cases(bounds))
 
 
 def _off_by_one_at(monkeypatch, name, at, module=verify):
@@ -413,7 +503,7 @@ def test_a_wrong_triangle_cell_fails_only_its_row_total(monkeypatch):
 @pytest.mark.parametrize("m_max", [0, 1, 2, 3, 8, 30, 45, 60])
 def test_lemma_stream_equals_the_naive_sweep(m_max):
     bounds = GridBounds(m_max=m_max)
-    assert list(verify._lemma_cases(bounds)) == list(naive_lemma_cases(bounds))
+    assert named(verify._lemma_cases(bounds)) == list(naive_lemma_cases(bounds))
 
 
 @pytest.mark.parametrize(
@@ -462,7 +552,19 @@ def test_a_wrong_lemma_term_fails_exactly_the_partial_sums_that_hold_it(
     ids=["small", "default", "enlarged", "zero", "v0", "n0", "n1", "n2"],
 )
 def test_gnomon_stream_equals_the_naive_sweep(bounds):
-    assert list(verify._gnomon_cases(bounds)) == list(naive_gnomon_cases(bounds))
+    assert named(verify._gnomon_cases(bounds)) == list(naive_gnomon_cases(bounds))
+
+
+@pytest.mark.parametrize("bounds", [SMALL, GridBounds(), ENLARGED, GridBounds(0, 0, 0, 0, 0, 0)],
+                         ids=["small", "default", "enlarged", "zero"])
+def test_oracle_stream_equals_the_naive_sweep(bounds):
+    assert named(verify._oracle_cases(bounds)) == list(naive_oracle_cases(bounds))
+
+
+@pytest.mark.parametrize("bounds", [SMALL, GridBounds(), ENLARGED, GridBounds(0, 0, 0, 0, 0, 0)],
+                         ids=["small", "default", "enlarged", "zero"])
+def test_theorem_stream_equals_the_naive_sweep(bounds):
+    assert named(verify._theorem_cases(bounds)) == list(naive_theorem_cases(bounds))
 
 
 @pytest.mark.parametrize(
