@@ -289,7 +289,14 @@ def _cmd_represent(args: argparse.Namespace) -> Result:
 
     d_range = None
     if args.dmin != 0 or args.dmax is not None:
-        d_hi = args.dmax if args.dmax is not None else min(args.value, COORD_LIMIT - 1)
+        d_hi = args.dmax
+        if d_hi is None:
+            d_hi = min(args.value, COORD_LIMIT - 1)
+            # the user never typed this bound, so name it; a target below 1
+            # and a --dmin outside the domain keep the library's message
+            if 1 <= d_hi < args.dmin < COORD_LIMIT:
+                raise ValueError(f"--dmin {args.dmin} is above the default --dmax, "
+                                 f"min(VALUE, 2**32 - 1) = {d_hi}")
         d_range = (args.dmin, d_hi)
     hits = representations(
         args.value,

@@ -5,10 +5,13 @@ rank search here, ``_least_rank``: a floating-point guess from the closed
 form, then galloping and bisection over exact values.
 
 ``representations`` finds every coordinate triple in a box whose value
-equals a target t.  For a fixed dimension v >= 1 and rank n the value is
-affine in the difference, ``base(n) + d * slope(n)`` with base(n) =
-C(v+n-2, v-1) and slope(n) = C(v+n-2, v), so each (v, n) cell is decided
-by one exact division rather than a scan over d.  The value never
+equals a target t, and splits its work by rank.  The hits of rank <= 2 or
+of dimension 0, the only ones whose number can be as large as the box,
+come in closed form from ``_box_hits``; the rank checks find the rest, all
+of them with v >= 1 and rank >= 3.  For a fixed dimension v >= 1 and rank
+n the value is affine in the difference, ``base(n) + d * slope(n)`` with
+base(n) = C(v+n-2, v-1) and slope(n) = C(v+n-2, v), so each (v, n) cell is
+decided by one exact division rather than a scan over d.  The value never
 decreases in n or d, so each dimension has one range of ranks that can
 hit.  For v >= 2 it ends at the least rank where S(v, d_lo, n) reaches t,
 which the rank search finds.  Up to it, the closed form
@@ -29,12 +32,10 @@ work is the factoring plus a few divisors per dimension, where a walk over
 the ranks takes about sqrt(2t) of them at v = 2.  Factoring has one work
 budget, ``_primes.FACTOR_BUDGET``; past it a dimension walks its ranks if
 they fit the same budget, and otherwise ``RangeError`` is raised.  The
-dimension loop ends at the first v where S(v, d_lo, min(max(n_min, 2), 3)),
-a lower bound on every cell of rank >= 2 in the box, exceeds the target.
-Every answer that can be as large as the box comes from one closed-form helper,
-``_box_hits``: one comparison decides dimension 0, where S(0, d, n) = d
-from rank 2 on, and a target of 1 hits only rank 1 of every dimension
-v >= 1 and d = 0 of dimension 1, so it never enters the dimension loop.
+dimension loop ends at the first v where S(v, d_lo, 3), a lower bound on
+every cell of rank >= 3 in the box, exceeds the target, so it visits about
+sqrt(2t) dimensions whatever the box's ranks; it is skipped when the box
+holds no rank >= 3.
 By default the box is clipped to the coordinate domain: ranks and
 differences below ``COORD_LIMIT``.
 """
@@ -141,7 +142,7 @@ def _rank_guess(v: int, d: int, value: int) -> int:
 def _rank_hits(
     v: int, ranks: Iterable[int], target: int, d_lo: int, d_hi: int
 ) -> Iterator[RepresentationHit]:
-    """The hits (v, d, n) with n in ``ranks`` (ascending, each >= 2) and d >= 1.
+    """The hits (v, d, n) with n in ``ranks`` (ascending, each >= 3) and d >= 1.
 
     Needs v >= 1, and checks d in [max(d_lo, 1), d_hi]: at most one hit per
     rank, found by one exact division.  From the first rank where even
@@ -202,26 +203,33 @@ def _candidate_ranks(
 def _box_hits(
     v_lo: int, v_hi: int, n_min: int, n_max: int, target: int, d_lo: int, d_hi: int
 ) -> Iterator[RepresentationHit]:
-    """The hits whose number can be as large as the box, in closed form.
+    """The hits of rank <= 2 and of dimension 0, in closed form.
 
     S(0, d, n) = d for n >= 2 and 0 below, so at v = 0 the target hits every
-    rank >= 2 when it lies in [d_lo, d_hi], and nothing otherwise.  Rank 1
-    holds 1 in every dimension v >= 1, and S(1, 0, n) = 1 at every rank
-    n >= 1; no other cell with v >= 1 holds 1, since rank 0 holds 0 and
-    S(v, d, n) >= S(v, d, 2) = v + d from rank 2 on.  So a target of 1 hits
-    rank 1 of every dimension v >= 1 with every difference, and d = 0 of
-    dimension 1 at every rank >= 2: these are all of its hits there.
+    rank >= 2 when it lies in [d_lo, d_hi], and nothing otherwise.  At rank
+    2, S(v, d, 2) = v + d for v >= 1, so the target hits (v, t - v, 2) for
+    every v with t - v inside the difference range.  Rank 1 holds 1 in
+    every dimension v >= 1, and S(1, 0, n) = 1 at every rank n >= 1; no
+    other cell with v >= 1 holds 1, since rank 0 holds 0 and
+    S(v, d, n) >= v + d from rank 2 on.  So a target of 1 also hits rank 1
+    of every dimension v >= 1 with every difference, and d = 0 of
+    dimension 1 at every rank >= 3.  The number of these hits can be as
+    large as the box; every other hit is found by the rank checks.
     """
     ranks = range(max(n_min, 2), n_max + 1)
     if v_lo == 0 and d_lo <= target <= d_hi:
         yield from (RepresentationHit(IndexTriple(0, target, n), target) for n in ranks)
+    if n_min <= 2 <= n_max:
+        yield from (RepresentationHit(IndexTriple(v, target - v, 2), target)
+                    for v in range(max(v_lo, 1, target - d_hi), min(v_hi, target - d_lo) + 1))
     if target > 1:
         return
     if n_min <= 1 <= n_max:
         yield from (RepresentationHit(IndexTriple(v, d, 1), 1)
                     for v in range(max(v_lo, 1), v_hi + 1) for d in range(d_lo, d_hi + 1))
     if v_lo <= 1 <= v_hi and d_lo == 0:
-        yield from (RepresentationHit(IndexTriple(1, 0, n), 1) for n in ranks)
+        yield from (RepresentationHit(IndexTriple(1, 0, n), 1)
+                    for n in range(max(n_min, 3), n_max + 1))
 
 
 def _range_of(name: str, pair: object) -> tuple[int, int]:
@@ -249,6 +257,13 @@ def representations(
     iff it lies inside and its value is exactly ``target``, which must be an
     int >= 1 (not bool).
 
+    The hits of rank <= 2 or of dimension 0 all come from ``_box_hits``,
+    in closed form, and only these answers cost their size: at v = 0 one
+    comparison decides the box, rank 2 holds S(v, d, 2) = v + d, and a
+    target of 1 also hits rank 1 of every dimension v >= 1 and d = 0 of
+    dimension 1.
+
+    Every other hit has v >= 1 and a rank >= 3, found by the rank checks.
     For v >= 2 no rank past the least n with S(v, d_lo, n) >= target can
     hit, d_lo the low end of the difference range; the rank search behind
     ``rank_of`` finds that rank.  Up to it, the rank of every hit divides
@@ -269,19 +284,12 @@ def representations(
     if the walk (about sqrt(2 * target) ranks at v = 2) fits the same
     budget, and otherwise ``RangeError`` is raised.
 
-    The answers that can be as large as the box all come from
-    ``_box_hits``, in closed form: at v = 0 one comparison decides the box,
-    and a target of 1 hits rank 1 of every dimension v >= 1 and d = 0 of
-    dimension 1, and no other cell with v >= 1.  Only these answers cost
-    their size, and a target of 1 never enters the dimension loop.
-
-    The dimension loop stops at the first v where S(v, d_lo, n_low)
-    exceeds the target, with n_low = min(max(n_min, 2), 3): S never
-    decreases in v, d or n from rank 1 on, ranks 0 and 1 hold only 0 and
-    1, and every other rank of the box is at least n_low.  Rank 3 caps the
-    test so that it costs one small binomial however large n_min is.  So
-    a wide dimension range costs only the dimensions that can still hit:
-    about sqrt(2 * target) of them at the default ``n_min`` of 3.
+    The dimension loop stops at the first v where S(v, d_lo, 3) exceeds
+    the target: S never decreases in v, d or n from rank 1 on, and every
+    cell the loop checks has a rank of at least 3.  So a wide dimension
+    range costs only the dimensions that can still hit, about
+    sqrt(2 * target) of them whatever ``n_min`` is, and a box with no rank
+    >= 3 skips the loop.
     """
     target = _exact_int("target", target)
     if target < 1:
@@ -303,25 +311,22 @@ def representations(
     else:
         n_max = COORD_LIMIT - 1
     hits = list(_box_hits(v_lo, v_hi, n_min, n_max, target, d_lo, d_hi))
-    # every hit of a target of 1 is box-sized.  For t > 1 ranks 0 and 1
-    # (holding 0 and 1) never hit, and every other cell of dimension v >= 1
-    # is at least S(v, d_lo, n_low), which never decreases in v.  Any rank
-    # from 2 to max(n_min, 2) bounds it; rank 3 keeps the binomial small.
-    n_low = min(max(n_min, 2), 3)
+    # every hit of rank <= 2 is box-sized; from rank 3 on every cell of
+    # dimension v >= 1 is at least S(v, d_lo, 3), which never decreases in v
     factored: dict[int, dict[int, int] | None] = {}  # see _candidate_ranks
-    for v in range(max(v_lo, 1), v_hi + 1) if target > 1 else ():
-        if _closed(v, d_lo, n_low) > target:
+    for v in range(max(v_lo, 1), v_hi + 1) if n_max >= 3 else ():
+        if _closed(v, d_lo, 3) > target:
             break  # this and every later dimension overshoot
         if v >= 2:
             # S never decreases in n or d: past the least rank where
             # S(v, d_lo, n) reaches the target, every cell overshoots
-            lo, top = max(n_min, 2), min(_least_rank(v, d_lo, target), n_max)
+            lo, top = max(n_min, 3), min(_least_rank(v, d_lo, target), n_max)
             # S(v, 0, n) strictly increases in n, so d = 0 can hit only at top
             if d_lo == 0 and lo <= top and _closed(v, 0, top) == target:
                 hits.append(RepresentationHit(IndexTriple(v, 0, top), target))
         elif d_hi:
             # 1 + d(n - 1) = target needs d_lo <= (target - 1) / (n - 1) <= d_hi
-            lo = max(n_min, 2, 1 - (1 - target) // d_hi)
+            lo = max(n_min, 3, 1 - (1 - target) // d_hi)
             top = min(n_max, 1 + (target - 1) // max(d_lo, 1))
         else:
             continue  # every cell of the box is 1

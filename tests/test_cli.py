@@ -594,7 +594,9 @@ def value_by_math_comb(v: int, d: int, n: int) -> int:
     return (math.comb(m, v - 1) if v else 0) + d * math.comb(m, v)
 
 
-@pytest.mark.parametrize("value, vmax, dmax, nmax, count", [(1, 4, 2, 4, 18), (3, 4, 5, 6, 10)])
+@pytest.mark.parametrize("value, vmax, dmax, nmax, count", [
+    (1, 4, 2, 4, 18), (3, 4, 5, 6, 10), (7, 9, 9, 6, 14),
+])
 def test_represent_low_dimension_goldens(run_cli, value, vmax, dmax, nmax, count):
     # the box-sized answers (dimension 0, rank 1, and d = 0 of dimension 1)
     # beside the rank checks; the goldens hold both formats byte for byte
@@ -628,6 +630,25 @@ def test_represent_default_difference_cap_stays_in_the_coordinate_domain(run_cli
         "S(2,1666666666,4) = 10000000000",
         "S(3,999999999,4) = 10000000000",
     ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--value", "2", "--dmin", "5"),
+     "error: --dmin 5 is above the default --dmax, min(VALUE, 2**32 - 1) = 2\n"),
+    (("--value", "5", "--dmin", "5"), None),
+    (("--value", "2", "--dmin", "5", "--dmax", "4"), "error: bad difference range: (5, 4)\n"),
+    (("--value", "0", "--dmin", "5"), "error: target must be >= 1, got 0\n"),
+    (("--value", "2", "--dmin", str(2**32)),
+     "error: d_range low must be in [0, 2**32), got 4294967296\n"),
+])
+def test_represent_names_the_default_difference_cap(run_cli, argv, message):
+    # the default --dmax is min(VALUE, 2**32 - 1): a --dmin above it is
+    # refused with the default named, since the user never typed it
+    code, out, err = run_cli("represent", *argv)
+    if message is None:  # --dmin at the default --dmax is a one-difference box
+        assert (code, out, err) == (0, "no representations in the box\n", "")
+    else:
+        assert (code, out, err) == (2, "", message)
 
 
 def test_represent_a_large_target(run_cli):

@@ -420,6 +420,39 @@ def test_the_dimension_stop_test_stays_small_at_large_ranks(closed_calls, corner
     assert closed_calls and max(n for _, _, n in closed_calls) <= 3
 
 
+def test_rank_2_in_a_wide_box_costs_only_the_dimensions_of_rank_3(closed_calls):
+    # S(v, d, 2) = v + d hits once in every dimension up to t, in closed form;
+    # the rank checks start at rank 3 and stop where S(v, 0, 3) = v(v + 1)/2
+    # passes t, about sqrt(2t) dimensions (the loop used to visit all t of them)
+    target = 10**5
+    hits = representations(target, v_range=(2, COORD_LIMIT - 1), n_min=2)
+    assert len(closed_calls) <= 10 * (math.isqrt(2 * target - 1) + 1)
+    assert len(hits) == 100008
+    triples = [tuple(h.triple) for h in hits]
+    assert [t for t in triples if t[2] == 2] == [(v, target - v, 2) for v in range(2, target + 1)]
+    assert all(hypersolid(*t) == target for t in triples if t[2] > 2)
+
+
+def test_a_box_of_ranks_up_to_2_makes_no_evaluation(closed_calls):
+    target = 10**5
+    hits = representations(target, v_range=(2, COORD_LIMIT - 1), n_min=0, n_max=2)
+    assert closed_calls == []
+    assert [tuple(h.triple) for h in hits] == [(v, target - v, 2) for v in range(2, target + 1)]
+
+
+@pytest.mark.parametrize("target, want", [
+    (2**33 - 2, (2**32 - 1, 2**32 - 1, 2)),
+    (2**33 - 1, (1, 2**32 - 1, 3)),
+])
+def test_the_domain_corner_with_rank_2_answers_at_once(target, want):
+    # S(v, 2**32 - 1, 2) = v + 2**32 - 1 is at most 2**33 - 2 in every
+    # dimension, so a stop test at rank 2 visited all 2**32 of them
+    top = COORD_LIMIT - 1
+    hits = representations(target, v_range=(0, top), d_range=(top, top), n_min=2, n_max=top)
+    assert [tuple(h.triple) for h in hits] == [want]
+    assert hypersolid(*want) == target
+
+
 def test_large_target_stays_in_the_coordinate_domain():
     # the v = 2, d = 0 hit would sit at rank 10**10, outside the domain;
     # the search checks the divisors of v! * 10**10 below 2**32, not the ranks
