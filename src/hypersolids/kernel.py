@@ -75,32 +75,35 @@ class IndexTriple(NamedTuple):
     n: int
 
 
-#: ``object.__setattr__``, looked up once: record constructors run in hot
-#: loops (the theorems sweep builds thousands of ``SumReport``s).
-_set_field = object.__setattr__
-
-
 class _Record:
     """Base of the four immutable records: ``Triangle``, ``SumReport``,
     ``GridBounds`` and ``VerifyOutcome``.
 
     A subclass names its fields in ``__slots__`` and sets each one in its
-    own ``__init__`` with ``_set_field``; a subclass of a record keeps the
-    fields it inherits and adds the slots it declares.  Records compare equal
-    only to records of the same class with equal fields, hash as the tuple
-    of their fields, print as ``Name(field=value, ...)``, pickle and copy,
-    and refuse assignment and deletion with ``AttributeError``.
+    own ``__init__`` through ``Name._setters``: each slot's member-descriptor
+    ``__set__`` in ``_fields`` order, bound once per class.  The records'
+    own ``__setattr__`` refuses assignment, and a bound setter skips the
+    slot lookup ``object.__setattr__`` makes on every call (the theorems
+    sweep builds thousands of ``SumReport``s).  A subclass of a record keeps
+    the fields and setters it inherits and adds the slots it declares.
+    Records compare equal only to records of the same class with equal
+    fields, hash as the tuple of their fields, print as
+    ``Name(field=value, ...)``, pickle and copy, and refuse assignment and
+    deletion with ``AttributeError``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple[Callable[[object, object], None], ...] = ()
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         # collected once per class: ``__slots__`` holds only the names a class
         # declares itself, so ``__slots__ = ()`` in a subclass would hide them
         own = cls.__dict__.get("__slots__", ())
-        cls._fields += (own,) if isinstance(own, str) else tuple(own)
+        own = (own,) if isinstance(own, str) else tuple(own)
+        cls._fields += own
+        cls._setters += tuple([cls.__dict__[name].__set__ for name in own])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

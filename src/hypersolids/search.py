@@ -255,7 +255,8 @@ def representations(
     the trivial rank-1/rank-2 hits) up to ``n_max`` (default
     COORD_LIMIT - 1).  Complete relative to the box: a triple is returned
     iff it lies inside and its value is exactly ``target``, which must be an
-    int >= 1 (not bool).
+    int >= 1 (not bool).  An empty range, of dimensions, differences or
+    ranks, raises ``RangeError``.
 
     The hits of rank <= 2 or of dimension 0 all come from ``_box_hits``,
     in closed form, and only these answers cost their size: at v = 0 one
@@ -310,6 +311,8 @@ def representations(
         raise RangeError("v < 2 admits arbitrarily large ranks; pass an explicit n_max")
     else:
         n_max = COORD_LIMIT - 1
+    if n_min > n_max:
+        raise RangeError(f"empty rank range: ({n_min}, {n_max})")
     hits = list(_box_hits(v_lo, v_hi, n_min, n_max, target, d_lo, d_hi))
     # every hit of rank <= 2 is box-sized; from rank 3 on every cell of
     # dimension v >= 1 is at least S(v, d_lo, 3), which never decreases in v

@@ -21,12 +21,15 @@ row c to the difference d = s - c, and a lifted row's sum is
 (P - row[c]) + d * (P - row[0]) with P = sum(row), so :func:`sum_fixed_s`
 adds up one row total and one product per row (:func:`_lifted_tally`) and
 never builds a lifted cell; its cost depends only on s and not on what was
-asked before.  A listing needs every cell's value next to its coordinates,
-so only a listing builds coordinates: a slice makes its coordinate
-iterators only when ``include_triples=True``, and only the whole-simplex
-listing (:func:`enumerate_triples`, ``sum_fixed_s(s, include_triples=True)``)
-lifts each row cell by cell, with :func:`_simplex_rows`.  A report without
-a listing holds the values' total and nonzero count and nothing more.
+asked before.  :func:`sum_fixed_sd` tallies its one Pascal row the same way.
+A listing needs every cell's value next to its coordinates, so only a
+listing builds coordinates and only a listing lifts: a slice makes its
+coordinate iterators only when ``include_triples=True``, a fixed-difference
+listing lifts its row cell by cell with :func:`_with_difference`, and the
+whole-simplex listing (:func:`enumerate_triples`,
+``sum_fixed_s(s, include_triples=True)``) lifts every row with
+:func:`_simplex_rows`.  A report without a listing holds the values' total
+and nonzero count and nothing more.
 
 The binomial and permutation identities the closed forms rest on are
 catalogued in :data:`LEMMAS` and individually checkable via
@@ -41,7 +44,7 @@ from math import comb, perm
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .kernel import IndexTriple, RangeError, _check, _Record, _set_field, _triangle_rows, binomial
+from .kernel import IndexTriple, RangeError, _check, _Record, _triangle_rows, binomial
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
 
@@ -63,15 +66,18 @@ def _lifted_tally(row: Sequence[int], d: int) -> tuple[int, int]:
     row[v] + d * row[v + 1] for v < c = len(row) - 1, then a zero, so the
     lift sums to (P - row[c]) + d * (P - row[0]) with P = sum(row), and a
     lifted cell v < c is zero exactly when row[v] is and, for d > 0,
-    row[v + 1] is too.  A row holds few zeros, so ``index`` finds them.
+    row[v + 1] is too.  A row holds few zeros, so ``index`` finds them, and
+    its scan stops before the last cell, whose own zero lifts to nothing.
+    :func:`sum_fixed_s` tallies every row of the simplex with it and
+    :func:`sum_fixed_sd` its one Pascal row.
     """
     total = sum(row)
     c = len(row) - 1
     nonzero = c
     v = -1
-    for _ in range(row.count(0)):
-        v = row.index(0, v + 1)
-        if v < c and (d == 0 or row[v + 1] == 0):
+    for _ in range(row.count(0) - (row[c] == 0)):
+        v = row.index(0, v + 1, c)
+        if d == 0 or row[v + 1] == 0:
             nonzero -= 1
     return total - row[c] + d * (total - row[0]), nonzero
 
@@ -129,12 +135,13 @@ class SumReport(_Record):
         triples: Pairs | None,
         consistent: bool,
     ) -> None:
-        _set_field(self, "formula_sum", formula_sum)
-        _set_field(self, "enumerated_sum", enumerated_sum)
-        _set_field(self, "formula_multitude", formula_multitude)
-        _set_field(self, "enumerated_multitude", enumerated_multitude)
-        _set_field(self, "triples", triples)
-        _set_field(self, "consistent", consistent)
+        set_fs, set_es, set_fm, set_em, set_triples, set_consistent = SumReport._setters
+        set_fs(self, formula_sum)
+        set_es(self, enumerated_sum)
+        set_fm(self, formula_multitude)
+        set_em(self, enumerated_multitude)
+        set_triples(self, triples)
+        set_consistent(self, consistent)
 
     @property
     def formula_applies(self) -> bool:
@@ -188,12 +195,12 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     if v == 0:
         values = [*range(s - 1), 0, 0][: s + 1]  # d while n >= 2, then n = 1, 0
     else:
-        ds = range(min(s - v, s - 2) + 1)  # the cells with m >= 0
-        ms = range(s - 2, s - 2 - len(ds), -1)
-        values = [
-            *map(add, map(comb, ms, repeat(v - 1)), map(mul, ds, map(comb, ms, repeat(v)))),
-            *[0] * (s - v + 1 - len(ds)),  # v = 1, n = 0: m = -1
-        ]
+        ms = range(s - 2, max(v - 3, -1), -1)  # the cells with m >= 0, d = 0, 1, ...
+        values = list(
+            map(add, map(comb, ms, repeat(v - 1)), map(mul, count(), map(comb, ms, repeat(v))))
+        )
+        if v == 1:
+            values.append(0)  # n = 0: m = -1
     cells = zip(repeat(v), range(s - v + 1), range(s - v, -1, -1)) if include_triples else None
     if v == 0:
         formula_sum = binomial(s - 1, 2)
@@ -212,20 +219,24 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     {s - 1, s} every candidate value is zero and no closed form applies.
     """
     s, d = _pinned(s, "d", d)
-    # A row of Pascal's triangle: every cell has m = s - d - 2.
+    # A row of Pascal's triangle, every cell with m = s - d - 2: row c = s - d
+    # of the d = 0 triangle, lifted to d by the difference gnomon.  Without a
+    # listing the lift is tallied, not built.
     m = s - d - 2
     if m < 0:
-        values = [0] * (s - d + 1)
+        row = [0] * (s - d + 1)
     else:
-        values = _with_difference([0, *map(comb, repeat(m), range(m + 1)), 0], d)
-    cells = zip(range(s - d + 1), repeat(d), range(s - d, -1, -1)) if include_triples else None
+        row = [0, *map(comb, repeat(m), range(m + 1)), 0]
     if d <= s - 2:
         formula_sum = (d + 1) * 2 ** (s - d - 2)
         formula_multitude = s - 1 if d == 0 else s - d
     else:
         formula_sum = None
         formula_multitude = None
-    return _report(values, formula_sum, formula_multitude, cells)
+    if include_triples:
+        cells = zip(range(s - d + 1), repeat(d), range(s - d, -1, -1))
+        return _report(_with_difference(row, d), formula_sum, formula_multitude, cells)
+    return _report((), formula_sum, formula_multitude, totals=_lifted_tally(row, d))
 
 
 def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:

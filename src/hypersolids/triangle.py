@@ -31,7 +31,7 @@ from itertools import repeat
 from typing import Iterable
 
 from .kernel import (
-    RangeError, _check, _closed, _exact_int, _Record, _set_field, _triangle_rows, binomial,
+    RangeError, _check, _closed, _exact_int, _Record, _triangle_rows, binomial,
     hypersolid,
 )
 
@@ -50,9 +50,10 @@ class Triangle(_Record):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, d: int, c_max: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        _set_field(self, "d", d)
-        _set_field(self, "c_max", c_max)
-        _set_field(self, "rows", rows)
+        set_d, set_c_max, set_rows = Triangle._setters
+        set_d(self, d)
+        set_c_max(self, c_max)
+        set_rows(self, rows)
 
     def row(self, c: int) -> tuple[int, ...]:
         c = _exact_int("row index", c)

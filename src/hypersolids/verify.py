@@ -24,7 +24,7 @@ from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator
 
 from .kernel import (
-    DEFAULT_BOUNDS, SUITES, _check, _Record, _set_field, d_gnomon, hypersolid, n_gnomon, v_gnomon,
+    DEFAULT_BOUNDS, SUITES, _check, _Record, d_gnomon, hypersolid, n_gnomon, v_gnomon,
 )
 from .sums import LEMMAS, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
 from .triangle import (
@@ -62,12 +62,13 @@ class GridBounds(_Record):
         s_max: int = DEFAULT_BOUNDS["s_max"],
         m_max: int = DEFAULT_BOUNDS["m_max"],
     ) -> None:
-        _set_field(self, "v_max", _check("v_max", v_max))
-        _set_field(self, "d_max", _check("d_max", d_max))
-        _set_field(self, "n_max", _check("n_max", n_max))
-        _set_field(self, "c_max", _check("c_max", c_max))
-        _set_field(self, "s_max", _check("s_max", s_max))
-        _set_field(self, "m_max", _check("m_max", m_max))
+        set_v, set_d, set_n, set_c, set_s, set_m = GridBounds._setters
+        set_v(self, _check("v_max", v_max))
+        set_d(self, _check("d_max", d_max))
+        set_n(self, _check("n_max", n_max))
+        set_c(self, _check("c_max", c_max))
+        set_s(self, _check("s_max", s_max))
+        set_m(self, _check("m_max", m_max))
 
 
 class VerifyOutcome(_Record):
@@ -80,9 +81,10 @@ class VerifyOutcome(_Record):
 
     def __init__(self, suite: str, cases_run: int,
                  failures: tuple[tuple[str, str, str], ...]) -> None:
-        _set_field(self, "suite", suite)
-        _set_field(self, "cases_run", cases_run)
-        _set_field(self, "failures", failures)
+        set_suite, set_cases_run, set_failures = VerifyOutcome._setters
+        set_suite(self, suite)
+        set_cases_run(self, cases_run)
+        set_failures(self, failures)
 
     @property
     def ok(self) -> bool:

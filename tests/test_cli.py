@@ -671,6 +671,14 @@ def test_represent_empty_box(run_cli):
     assert out == "no representations in the box\n"
 
 
+def test_represent_refuses_an_empty_rank_range(run_cli):
+    # like an empty dimension or difference range: exit 2 with a message
+    code, out, err = run_cli("represent", "--value", "10", "--nmin", "5", "--nmax", "2")
+    assert (code, out, err) == (2, "", "error: empty rank range: (5, 2)\n")
+    code, out, err = run_cli("represent", "--value", "10", "--vmin", "3", "--vmax", "2")
+    assert (code, out, err) == (2, "", "error: empty dimension range: (3, 2)\n")
+
+
 def test_represent_json(run_cli):
     code, out, _ = run_cli("represent", "--value", "36", "--format", "json")
     assert code == 0

@@ -56,6 +56,21 @@ def naive_hits(target, v_lo, v_hi, d_lo, d_hi, n_min, n_max):
     return out
 
 
+def box_representations(target, **box):
+    """``representations(target, **box)``, or [] for a box with no rank.
+
+    A box whose ``n_min`` exceeds its ``n_max`` holds no cell, so it must be
+    refused like an empty dimension or difference range; the naive scans
+    return [] for it.
+    """
+    n_min, n_max = box.get("n_min", 3), box.get("n_max")
+    if n_max is not None and n_min > n_max:
+        with pytest.raises(RangeError, match=re.escape(f"empty rank range: ({n_min}, {n_max})")):
+            representations(target, **box)
+        return []
+    return representations(target, **box)
+
+
 def least_rank_reaching(v: int, d: int, value: int) -> int:
     """Least rank n >= 1 with hypersolid(v, d, n) >= value, or COORD_LIMIT if none.
 
@@ -335,6 +350,21 @@ def test_representation_preconditions():
         representations(10, n_max=2**32)
 
 
+def test_an_empty_rank_range_is_refused_like_the_other_empty_ranges():
+    # every cell of a box has n_min <= n <= n_max, so n_min > n_max is no box
+    for box in ({"n_min": 5, "n_max": 2}, {"v_range": (0, 1), "n_min": 1, "n_max": 0},
+                {"v_range": (3, 3), "d_range": (0, 0), "n_min": 2**32 - 1, "n_max": 0}):
+        n_min, n_max = box["n_min"], box["n_max"]
+        with pytest.raises(RangeError, match=re.escape(f"empty rank range: ({n_min}, {n_max})")):
+            representations(10, **box)
+    # one rank is a box
+    hits = representations(10, n_min=4, n_max=4)
+    assert [tuple(h.triple) for h in hits] == [(2, 1, 4), (3, 0, 4)]
+    # the bounds are checked first
+    with pytest.raises(RangeError, match="n_max must be in"):
+        representations(10, n_min=5, n_max=-1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     target=st.integers(min_value=1, max_value=250),
@@ -351,7 +381,9 @@ def test_representations_match_naive_scan_on_random_boxes(
     v_hi, d_hi = v_lo + v_span, d_lo + d_span
     if v_lo < 2 and n_max is None:
         n_max = 40  # dimensions below 2 need an explicit rank cap
-    hits = representations(target, (v_lo, v_hi), (d_lo, d_hi), n_min, n_max)
+    hits = box_representations(
+        target, v_range=(v_lo, v_hi), d_range=(d_lo, d_hi), n_min=n_min, n_max=n_max
+    )
     # with no cap the box reaches every rank, but past n = target + 2 even
     # the d = 0 value of a dimension >= 2 exceeds the target
     n_cap = target + 2 if n_max is None else n_max
@@ -375,7 +407,9 @@ def test_wide_dimension_ranges_match_naive_scan(target, v_lo, v_hi, d_lo, d_span
     d_hi = d_lo + d_span
     if v_lo < 2 and n_max is None:
         n_max = 20
-    hits = representations(target, (v_lo, v_hi), (d_lo, d_hi), n_min, n_max)
+    hits = box_representations(
+        target, v_range=(v_lo, v_hi), d_range=(d_lo, d_hi), n_min=n_min, n_max=n_max
+    )
     n_cap = target + 2 if n_max is None else n_max
     want = naive_hits(target, v_lo, v_hi, d_lo, d_hi, n_min, n_cap)
     assert [tuple(h.triple) for h in hits] == sorted(want)
@@ -500,7 +534,9 @@ def test_d0_hits_next_to_the_end_of_the_walk(v):
         for n_min in (n - 1, n, n + 1):
             for n_max in (n - 1, n, n + 1):
                 offsets.add(n - min(max(walk_end, n_min), n_max + 1))
-                hits = representations(target, (v, v), (0, 40), n_min, n_max)
+                hits = box_representations(
+                    target, v_range=(v, v), d_range=(0, 40), n_min=n_min, n_max=n_max
+                )
                 got = [tuple(h.triple) for h in hits]
                 assert got == naive_hits(target, v, v, 0, 40, n_min, n_max), (n, n_min, n_max)
                 assert got.count((v, 0, n)) == (n_min <= n <= n_max)
@@ -538,10 +574,10 @@ def both_routes(monkeypatch):
     """``representations`` as shipped, and with every dimension on the divisor route."""
 
     def run(target, **box):
-        shipped = [tuple(h.triple) for h in representations(target, **box)]
+        shipped = [tuple(h.triple) for h in box_representations(target, **box)]
         with monkeypatch.context() as patch:
             patch.setattr(search, "_DIRECT_RANKS", 0)
-            divisors_only = [tuple(h.triple) for h in representations(target, **box)]
+            divisors_only = [tuple(h.triple) for h in box_representations(target, **box)]
         return shipped, divisors_only
 
     return run

@@ -311,6 +311,45 @@ def test_sum_report_is_an_immutable_value():
     assert copy.copy(report) == pickle.loads(pickle.dumps(report)) == report
 
 
+class NotedReport(SumReport):
+    """A record subclass that adds one slot of its own (module level, so it pickles)."""
+
+    __slots__ = ("note",)
+
+    def __init__(self, *fields):
+        super().__init__(*fields[:-1])
+        NotedReport._setters[-1](self, fields[-1])
+
+
+def test_a_subclass_of_sum_report_adds_the_slot_it_declares():
+    fields = (2, 2, 2, 2, None, True)
+    noted = NotedReport(*fields, "first")
+    assert NotedReport._fields == (*SumReport._fields, "note")
+    assert (noted.formula_sum, noted.consistent, noted.note) == (2, True, "first")
+    assert noted == NotedReport(*fields, "first") != NotedReport(*fields, "second")
+    assert noted != SumReport(*fields) and SumReport(*fields) != noted
+    assert hash(noted) == hash((*fields, "first"))
+    assert repr(noted) == (
+        "NotedReport(formula_sum=2, enumerated_sum=2, formula_multitude=2, "
+        "enumerated_multitude=2, triples=None, consistent=True, note='first')"
+    )
+    assert copy.copy(noted) == copy.deepcopy(noted) == pickle.loads(pickle.dumps(noted)) == noted
+    assert pickle.loads(pickle.dumps(noted)).note == "first"
+    for name in ("note", "consistent", "other"):
+        with pytest.raises(AttributeError):
+            setattr(noted, name, None)
+    for name in ("note", "formula_sum"):
+        with pytest.raises(AttributeError):
+            delattr(noted, name)
+    assert noted == NotedReport(*fields, "first")
+    # the parent record is untouched by its subclass
+    assert SumReport._fields == (
+        "formula_sum", "enumerated_sum", "formula_multitude", "enumerated_multitude",
+        "triples", "consistent",
+    )
+    assert SumReport(*fields) == SumReport(*fields)
+
+
 @pytest.mark.parametrize(
     "query,axis",
     [(sum_fixed_sv, 0), (sum_fixed_sd, 1), (sum_fixed_sn, 2)],
@@ -359,6 +398,28 @@ def test_slices_match_scalar_hypersolid_cell_by_cell(query, axis):
                 assert report.enumerated_sum == sum(value for _, value in want), (s, k)
                 assert report.enumerated_multitude == len(want), (s, k)
             assert bare.triples is None
+
+
+def test_fixed_difference_totals_lift_no_cell(monkeypatch):
+    # a bare fixed-difference slice tallies its Pascal row; only the listing
+    # lifts the row cell by cell, so it is built before the lift is broken
+    want, listed = {}, {}
+    for s in range(15):
+        for d in range(s + 1):
+            cells = [hypersolid(v, d, s - d - v) for v in range(s - d + 1)]
+            want[s, d] = (sum(cells), len(cells) - cells.count(0))
+            listed[s, d] = sum_fixed_sd(s, d, include_triples=True)
+
+    def lift(row, d):
+        raise AssertionError(f"a bare slice lifted the row {row} to d={d}")
+
+    monkeypatch.setattr(sums, "_with_difference", lift)
+    for (s, d), totals in want.items():
+        bare = sum_fixed_sd(s, d)
+        assert (bare.enumerated_sum, bare.enumerated_multitude) == totals, (s, d)
+        report = listed[s, d]
+        assert (report.enumerated_sum, report.enumerated_multitude) == totals, (s, d)
+        assert bare.consistent is report.consistent is (d <= s - 2), (s, d)
 
 
 def test_slices_without_listing_build_no_triples(monkeypatch):
@@ -452,7 +513,8 @@ def test_lifted_tally_equals_the_lifted_row_for_any_row():
         tuple((0, 0, 1, 9, 10**30)[(7 * i + 3 * j * j) % 5] for j in range(i % 11 + 1))
         for i in range(200)
     ]
-    for row in rows:
+    # a slice passes a list, the simplex a tuple
+    for row in rows + [list(row) for row in rows]:
         for d in (0, 1, 2, 7, 10**20):
             lifted = [row[v] + d * row[v + 1] for v in range(len(row) - 1)] + [0]
             want = (sum(lifted), len(lifted) - lifted.count(0))
