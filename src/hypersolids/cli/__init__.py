@@ -1,0 +1,174 @@
+"""Command line front end.
+
+Subcommands: eval, table, triangle, sums, verify, represent.  Each accepts
+``--format {text,csv,json}`` and ``--output PATH``.  Each command returns
+``(query, consistent, payload)``, where the payload is the JSON result, the
+CSV rows or the text lines for the chosen format; :func:`_render` frames it
+and :func:`main` writes it.  Exit codes: 0 when ``consistent`` is true, 1
+when it is false (a verification or consistency check failed), 2 on
+malformed usage or an ``--output`` path that cannot be written.
+
+CSV output is deterministic: comma-separated fields, every row newline
+terminated, no quoting (fields are decimal digits or fixed labels).  JSON
+output is one object with ``query``, ``result`` and ``consistent`` fields;
+values that can exceed 64 bits are rendered as decimal strings.  Every
+printed int, whatever its size, goes through :func:`_digits`, so a value
+past the interpreter's int-to-str digit limit prints in full.
+
+This package holds the shared front end; each command lives in its own
+module, ``_eval`` ... ``_represent``, with ``add_arguments(parser)`` and
+``run(args) -> Result``.  Start-up compiles this module and the one
+command that runs, and argparse builds only that command's options; the
+command imports the kernel and the layers it uses, so a call pays only for
+its own command.  ``python -m hypersolids.cli`` runs ``__main__``,
+so the package is imported once.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:  # the front end needs no layer; each command imports its own
+    from ..kernel import IndexTriple
+
+Result = tuple[dict, bool, object]  # (query, consistent, payload for args.format)
+# each command's one-line help, in the order --help lists them; the command
+# named NAME lives in the module ``_NAME`` beside this one
+COMMANDS = {
+    "eval": "evaluate one number",
+    "table": "d x n value grid for one dimension",
+    "triangle": "fixed-difference triangle with row sums",
+    "sums": "fixed-total sums: closed form vs enumeration",
+    "verify": "run exhaustive identity sweeps",
+    "represent": "find all coordinates producing a value",
+}
+
+
+def _digits(value: object) -> str:
+    """``str(value)``, also for an int past the interpreter's int-to-str digit limit.
+
+    ``decimal.Decimal(int)`` is exact and not subject to that limit, so no
+    process-wide setting is changed.
+    """
+    try:
+        return str(value)
+    except ValueError:  # more than sys.get_int_max_str_digits() digits
+        from decimal import Decimal
+
+        return str(Decimal(value))
+
+
+def _integer(text: str) -> int:
+    """``int(text)``, also for a literal past the interpreter's int-from-str digit limit.
+
+    It takes exactly the strings ``int`` takes: surrounding whitespace, a
+    sign, then decimal digits with single underscores between them.  Only
+    when ``int`` refuses such a string, which it does just for its length,
+    is it read through ``decimal.Decimal``, which has no such limit; no
+    process-wide setting is changed.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        if body[:1] in ("+", "-"):
+            body = body[1:]
+        if not all(part.isdecimal() for part in body.split("_")):
+            raise
+        from decimal import Decimal
+
+        return int(Decimal(text))
+
+
+# argparse names the type in its message: "invalid int value: 'abc'"
+_integer.__name__ = "int"
+
+
+def _render(fmt: str, query: dict, consistent: bool, payload: object) -> str:
+    if fmt == "json":
+        import json
+
+        return json.dumps({"query": query, "result": payload, "consistent": consistent}) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(map(_digits, row)) + "\n" for row in payload)
+    return "".join(line + "\n" for line in payload)
+
+
+def _emit(text: str, output: str | None) -> None:
+    if not output:
+        sys.stdout.write(text)
+        return
+    if os.path.exists(output) and not os.path.isfile(output):
+        # a device or a pipe such as /dev/stdout cannot be replaced: write into it
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    # Write a temporary file beside the target, then rename it over the
+    # target: a reader never sees half a file, and a failed write leaves
+    # the old file as it was.  The symlink (if any) is kept, its file replaced.
+    target = os.path.realpath(output)
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, target)
+    except OSError as exc:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass  # never created
+        raise OSError(exc.errno, exc.strerror, output) from None
+
+
+def _cells(fmt: str, pairs: Iterable[tuple[IndexTriple, int]]) -> list:
+    """Listed (coordinates, value) pairs as JSON objects, CSV fields or text lines."""
+    if fmt == "json":
+        return [{"v": t.v, "d": t.d, "n": t.n, "value": _digits(value)} for t, value in pairs]
+    if fmt == "csv":
+        return [[t.v, t.d, t.n, value] for t, value in pairs]
+    return [f"S({t.v},{t.d},{t.n}) = {_digits(value)}" for t, value in pairs]
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, with the options of ``command`` only (of every
+    command when it is None): every command is listed, so ``--help`` and
+    an unknown command read the same either way."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                        help="output format (default: text)")
+    common.add_argument("--output", metavar="PATH", default=None,
+                        help="write output to PATH instead of stdout")
+
+    parser = argparse.ArgumentParser(
+        prog="hypersolids",
+        description="Exact arithmetic for multidimensional figurate numbers.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=summary)
+        if command is None or name == command:
+            # the import statement's own hook, so -X importtime lists the module
+            module = __import__(f"{__name__}._{name}", fromlist=["run"])
+            module.add_arguments(p)
+            p.set_defaults(func=module.run)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # every item before the command that argparse runs starts with "-", so
+    # the first item that names a command is that command
+    command = next((arg for arg in argv if arg in COMMANDS), None)
+    args = build_parser(command).parse_args(argv)
+    try:
+        query, consistent, payload = args.func(args)
+        _emit(_render(args.format, query, consistent, payload), args.output)
+    except (ValueError, OSError) as exc:
+        # a malformed query (RangeError included) or an --output path that
+        # cannot be written is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0 if consistent else 1

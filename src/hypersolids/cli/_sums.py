@@ -1,0 +1,67 @@
+"""``sums``: a fixed-total sum, closed form against enumeration."""
+
+from __future__ import annotations
+
+import argparse
+
+from . import Result, _cells, _digits, _integer
+
+
+def add_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--s", type=_integer, required=True, help="coordinate total v+d+n")
+    p.add_argument("--fix", default=None, metavar="COORD=NUM",
+                   help="pin one coordinate, e.g. v=2, d=0 or n=4")
+    p.add_argument("--list", dest="list_triples", action="store_true",
+                   help="list the contributing nonzero triples")
+
+
+def _parse_fix(text: str | None) -> tuple[str, int] | None:
+    if text is None:
+        return None
+    coord, sep, raw = text.partition("=")
+    if sep != "=" or coord not in ("v", "d", "n"):
+        raise ValueError(f"--fix expects v=NUM, d=NUM or n=NUM, got {text!r}")
+    try:
+        value = _integer(raw)
+    except ValueError:
+        raise ValueError(f"--fix expects an integer value, got {text!r}") from None
+    return coord, value
+
+
+def run(args: argparse.Namespace) -> Result:
+    from ..sums import sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
+
+    fix = _parse_fix(args.fix)
+    include = args.list_triples
+    if fix is None:
+        report = sum_fixed_s(args.s, include_triples=include)
+    else:
+        pinned = {"v": sum_fixed_sv, "d": sum_fixed_sd, "n": sum_fixed_sn}[fix[0]]
+        report = pinned(args.s, fix[1], include_triples=include)
+    query = {"command": "sums", "s": args.s,
+             "fix": None if fix is None else {fix[0]: fix[1]}, "list": include}
+    fields = {name: getattr(report, name) for name in
+              ("formula_sum", "formula_multitude", "enumerated_sum", "enumerated_multitude")}
+    cells = None if report.triples is None else _cells(args.format, report.triples)
+
+    if args.format == "json":
+        # the sums can exceed 64 bits, the multitudes cannot
+        result = {name: x if x is None or name.endswith("multitude") else _digits(x)
+                  for name, x in fields.items()}
+        return query, report.consistent, {**result, "triples": cells}
+    if args.format == "csv":
+        rows: list[list[object]] = [["field", "value"]]
+        rows += [[name, "" if x is None else x] for name, x in fields.items()]
+        rows.append(["consistent", str(report.consistent).lower()])
+        rows += [["triple", *cell] for cell in cells or ()]
+        return query, report.consistent, rows
+    if report.formula_applies:
+        formula = f"sum={_digits(report.formula_sum)} multitude={report.formula_multitude}"
+    else:
+        formula = "none (no closed form at this corner)"
+    lines = [
+        f"formula:    {formula}",
+        f"enumerated: sum={_digits(report.enumerated_sum)} multitude={report.enumerated_multitude}",
+        f"consistent: {'yes' if report.consistent else 'no'}",
+    ]
+    return query, report.consistent, lines + (cells or [])

@@ -85,7 +85,8 @@ class _Record:
     own ``__setattr__`` refuses assignment, and a bound setter skips the
     slot lookup ``object.__setattr__`` makes on every call (the theorems
     sweep builds thousands of ``SumReport``s).  A subclass of a record keeps
-    the fields and setters it inherits and adds the slots it declares.
+    the fields and setters it inherits and adds the slots it declares; a
+    private slot name such as ``__x`` is refused with ``TypeError``.
     Records compare equal only to records of the same class with equal
     fields, hash as the tuple of their fields, print as
     ``Name(field=value, ...)``, pickle and copy, and refuse assignment and
@@ -102,6 +103,11 @@ class _Record:
         # declares itself, so ``__slots__ = ()`` in a subclass would hide them
         own = cls.__dict__.get("__slots__", ())
         own = (own,) if isinstance(own, str) else tuple(own)
+        for name in own:
+            if name.startswith("__") and not name.endswith("__"):
+                # CPython stores such a slot under its mangled name, _Name__x
+                raise TypeError(f"{cls.__name__}: a record field cannot be the private "
+                                f"name {name!r}")
         cls._fields += own
         cls._setters += tuple([cls.__dict__[name].__set__ for name in own])
 

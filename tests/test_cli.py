@@ -9,6 +9,7 @@ checked reference values and are compared byte for byte.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import hypersolids
-from hypersolids import GridBounds, diagonal_sum, hypersolid, kernel
+from hypersolids import GridBounds, cli, diagonal_sum, hypersolid, kernel
 from hypersolids.cli import _digits, _integer, build_parser
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -527,8 +528,12 @@ _LAYERS = {f"hypersolids.{name}" for name in ("search", "sums", "triangle", "ver
          {*_LAYERS - {"hypersolids.sums"}, "dataclasses", "decimal", "json"}),
         (["verify", "--suite", "oracle", "--vmax", "2", "--dmax", "2", "--nmax", "2"],
          {"hypersolids.search", "concurrent.futures", "dataclasses"}),
+        (["table", "--v", "3", "--dmax", "4", "--nmax", "5", "--gnomons"],
+         {*_LAYERS, "hypersolids._primes", "dataclasses", "decimal", "json"}),
+        (["represent", "--value", "120"],
+         {*_LAYERS - {"hypersolids.search"}, "dataclasses", "decimal", "json"}),
     ],
-    ids=["eval", "triangle", "sums", "verify"],
+    ids=["eval", "triangle", "sums", "verify", "table", "represent"],
 )
 def test_a_command_imports_only_what_it_uses(argv, absent):
     # modules bare start-up already loads (site hooks differ between hosts)
@@ -536,6 +541,54 @@ def test_a_command_imports_only_what_it_uses(argv, absent):
     loaded = _imported_modules("-m", "hypersolids.cli", *argv) - _imported_modules("-c", "pass")
     assert "hypersolids.kernel" in loaded
     assert loaded & absent == set()
+    # of the six command modules, only the one that runs is compiled
+    commands = {name for name in loaded if name.startswith("hypersolids.cli._")}
+    assert commands == {f"hypersolids.cli._{argv[0]}"}
+
+
+_SAMPLE_ARGV = [
+    ["eval", "--v", "3", "--d", "2", "--n", "5", "--method", "both", "--format", "json"],
+    ["table", "--v", "3", "--dmax", "4", "--gnomons", "--format", "csv"],
+    ["triangle", "--d", "1", "--rows", "5", "--diagonals", "3"],
+    ["sums", "--s", "6", "--fix", "v=2", "--list"],
+    ["verify", "--suite", "oracle", "--vmax", "2", "--jobs", "1", "--output", "out.csv"],
+    ["represent", "--value", "120", "--vmax", "4", "--nmax", "20", "--dmin", "1"],
+]
+
+
+def _help_text(parser, *argv: str) -> str:
+    """What ``--help`` prints after ``argv``: that parser's ``format_help()``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exit_:
+        parser.parse_args([*argv, "--help"])
+    assert exit_.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", _SAMPLE_ARGV, ids=[argv[0] for argv in _SAMPLE_ARGV])
+def test_the_parser_of_one_command_matches_the_whole_parser(argv):
+    command, whole = argv[0], build_parser()
+    lazy = build_parser(command)
+    assert [sample[0] for sample in _SAMPLE_ARGV] == list(cli.COMMANDS)  # one sample each
+    assert _help_text(lazy) == _help_text(whole)
+    assert _help_text(lazy, command) == _help_text(whole, command)
+    parsed, want = vars(lazy.parse_args(argv)), vars(whole.parse_args(argv))
+    assert parsed.pop("func") is want.pop("func")
+    assert parsed == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--bogus"],
+    ["--", "eval", "--v", "3", "--d", "2", "--n", "5"],
+    ["eval", "--v", "3"],
+    ["nonsense"],
+    [],
+    ["--format", "csv", "table", "--v", "3"],
+], ids=["bogus-option", "double-dash", "missing-option", "unknown-command", "empty",
+        "option-before-command"])
+def test_main_answers_as_the_whole_parser_does(run_cli, monkeypatch, argv):
+    lazy = run_cli(*argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None, full=build_parser: full())
+    assert lazy == run_cli(*argv)
 
 
 def test_the_package_imports_its_names_on_first_use():

@@ -350,6 +350,15 @@ def test_a_subclass_of_sum_report_adds_the_slot_it_declares():
     assert SumReport(*fields) == SumReport(*fields)
 
 
+@pytest.mark.parametrize("slots", [("__x",), "__x", ("note", "__x_")])
+def test_a_record_subclass_refuses_a_private_slot_name(slots):
+    # CPython stores a slot named __x as _Name__x, so no field could be read
+    # back under the name it was declared with
+    with pytest.raises(TypeError, match="PrivateReport.*'__x_?'"):
+        type("PrivateReport", (SumReport,), {"__slots__": slots})
+    assert SumReport._fields[-1] == "consistent"  # the parent is untouched
+
+
 @pytest.mark.parametrize(
     "query,axis",
     [(sum_fixed_sv, 0), (sum_fixed_sd, 1), (sum_fixed_sn, 2)],
