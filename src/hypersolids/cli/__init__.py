@@ -158,10 +158,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = sys.argv[1:] if argv is None else list(argv)
     # every item before the command that argparse runs starts with "-", so
     # the first item that names a command is that command
     command = next((arg for arg in argv if arg in COMMANDS), None)
+    if command is not None and "--" in argv[: argv.index(command)]:
+        # argparse takes an end-of-options marker before the command for the
+        # command itself; no top-level option takes a value, so the marker
+        # means nothing else there
+        argv.remove("--")
     args = build_parser(command).parse_args(argv)
     try:
         query, consistent, payload = args.func(args)

@@ -12,16 +12,25 @@ Every value here is C(m, v - 1) + d * C(m, v) with m = v + n - 2, so the
 cells of a slice lie along one line of Pascal's triangle: with the
 difference pinned they share m and read one row, with the dimension pinned
 m runs down a column, and with the rank pinned m and v climb a diagonal.  A
-slice query computes its O(s) values in one pass of ``math.comb`` maps over
-ranges, with the v = 0 and m < 0 corners written out, and calls no Python
-function per cell.  The whole simplex is read row by row from the d = 0
-triangle, Pascal's, built by ``kernel._triangle_rows`` like every triangle.
+slice query computes its O(s) values in one pass of maps, with the v = 0 and
+m < 0 corners written out, and calls no Python function per cell.  For
+totals with s - 2 < :data:`PASCAL_M` the maps read their binomials from one
+fixed table of Pascal's rows m < PASCAL_M and their columns (:func:`_pascal`),
+built once, on first use, by the adjacent-pair rule: a pinned difference
+reads a row, a pinned dimension two columns and a pinned rank two columns
+too, as C(m, v) = C(m, n - 2) there.  Larger totals map ``math.comb`` over
+ranges.  The closed forms keep ``math.comb``, so below the bound the
+enumerated side shares no binomial with its judge.  The whole simplex is
+read row by row from the d = 0 triangle, Pascal's, built by
+``kernel._triangle_rows`` like every triangle.
 The difference gnomon S(v, d, n) = S(v, 0, n) + d * S(v + 1, 0, n - 1) lifts
 row c to the difference d = s - c, and a lifted row's sum is
 (P - row[c]) + d * (P - row[0]) with P = sum(row), so :func:`sum_fixed_s`
 adds up one row total and one product per row (:func:`_lifted_tally`) and
-never builds a lifted cell; its cost depends only on s and not on what was
-asked before.  :func:`sum_fixed_sd` tallies its one Pascal row the same way.
+never builds a lifted cell.  Nothing here keeps a result between calls: the
+one state is the Pascal table, whose size is fixed, so a query's cost depends
+only on its arguments, past that one bounded build.  :func:`sum_fixed_sd`
+tallies its one Pascal row the same way.
 A listing needs every cell's value next to its coordinates, so only a
 listing builds coordinates and only a listing lifts: a slice makes its
 coordinate iterators only when ``include_triples=True``, a fixed-difference
@@ -47,6 +56,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .kernel import IndexTriple, RangeError, _check, _Record, _triangle_rows, binomial
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
+Grid = tuple[tuple[int, ...], ...]
 
 
 def _with_difference(row: Sequence[int], d: int) -> list[int]:
@@ -175,6 +185,38 @@ def _report(
     return SumReport(formula_sum, enum_sum, formula_multitude, multitude, triples, consistent)
 
 
+#: The slices of totals s with s - 2 < PASCAL_M read their binomials from one
+#: table of Pascal's rows m < PASCAL_M; larger totals call ``math.comb``.
+#: Every entry of the table is below 2**63.
+PASCAL_M = 64
+
+#: ``(rows, columns)`` once built, with rows[m][k] = columns[k][m] = C(m, k)
+#: for m < PASCAL_M and k < PASCAL_M + 2, zero for k > m.  The two columns
+#: past the last row's end hold only zeros, so columns[-1] and columns[-2]
+#: read as C(m, -1) and C(m, -2).  One tuple, so a reader in another thread
+#: never pairs new rows with old columns.
+_pascal_table: tuple[Grid, Grid] | None = None
+
+
+def _pascal() -> tuple[Grid, Grid]:
+    """The table of Pascal's triangle the small slices read, built on first use.
+
+    Row c of the d = 0 triangle holds 0, C(c - 2, 0..c - 2), 0, so the rows
+    come from ``_triangle_rows`` by the adjacent-pair rule and not from
+    ``math.comb``, which the closed forms keep.
+    """
+    global _pascal_table
+    table = _pascal_table
+    if table is None:
+        width = PASCAL_M + 2
+        rows = tuple(
+            row[1:-1] + (0,) * (width + 2 - len(row))
+            for row in islice(_triangle_rows(0, PASCAL_M + 1), 2, None)
+        )
+        table = _pascal_table = rows, tuple(zip(*rows))
+    return table
+
+
 def _pinned(s: int, name: str, k: int) -> tuple[int, int]:
     """The total s and the coordinate ``name`` pinned to k, checked, with k <= s."""
     s = _check("s", s)
@@ -195,10 +237,17 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     if v == 0:
         values = [*range(s - 1), 0, 0][: s + 1]  # d while n >= 2, then n = 1, 0
     else:
-        ms = range(s - 2, max(v - 3, -1), -1)  # the cells with m >= 0, d = 0, 1, ...
-        values = list(
-            map(add, map(comb, ms, repeat(v - 1)), map(mul, count(), map(comb, ms, repeat(v))))
-        )
+        # the cells with m >= 0, d = 0, 1, ...: m = s - 2 down to m_low
+        m_low = max(v - 2, 0)
+        if s - 2 < PASCAL_M:
+            _, columns = _pascal()
+            low = reversed(columns[v - 1][m_low:s - 1])
+            high = reversed(columns[v][m_low:s - 1])
+        else:
+            ms = range(s - 2, m_low - 1, -1)
+            low = map(comb, ms, repeat(v - 1))
+            high = map(comb, ms, repeat(v))
+        values = list(map(add, low, map(mul, count(), high)))
         if v == 1:
             values.append(0)  # n = 0: m = -1
     cells = zip(repeat(v), range(s - v + 1), range(s - v, -1, -1)) if include_triples else None
@@ -225,6 +274,8 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     m = s - d - 2
     if m < 0:
         row = [0] * (s - d + 1)
+    elif s - 2 < PASCAL_M:
+        row = [0, *_pascal()[0][m][: m + 1], 0]
     else:
         row = [0, *map(comb, repeat(m), range(m + 1)), 0]
     if d <= s - 2:
@@ -252,12 +303,21 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     # v = 0 cell holds d when m >= 0; at n = 0 the v = 1 cell has m < 0 too.
     lead = [s - n] if n >= 2 else [0] * min(2 - n, s - n + 1)
     v0 = len(lead)
-    ms = range(v0 + n - 2, s - 1)  # m for v = v0..s - n
+    m_low = v0 + n - 2  # m for v = v0..s - n runs m_low..s - 2
     ds = range(s - n - v0, -1, -1)
-    values = [
-        *lead,
-        *map(add, map(comb, ms, count(v0 - 1)), map(mul, ds, map(comb, ms, count(v0)))),
-    ]
+    if s - 2 < PASCAL_M:
+        # C(m, v - 1) = C(m, n - 1) and C(m, v) = C(m, n - 2) for n >= 2, so m
+        # climbs two columns.  At n = 1 the cells read C(m, m) = C(m, 0) and
+        # C(m, m + 1) = 0, at n = 0 two zeros: columns -1 and -2 are the
+        # table's last two, which hold only zeros.
+        _, columns = _pascal()
+        low = columns[n - 1][m_low:s - 1]
+        high = columns[n - 2][m_low:s - 1]
+    else:
+        ms = range(m_low, s - 1)
+        low = map(comb, ms, count(v0 - 1))
+        high = map(comb, ms, count(v0))
+    values = [*lead, *map(add, low, map(mul, ds, high))]
     cells = zip(range(s - n + 1), range(s - n, -1, -1), repeat(n)) if include_triples else None
     if n == 0:
         formula_sum, formula_multitude = 0, 0

@@ -591,6 +591,14 @@ def test_main_answers_as_the_whole_parser_does(run_cli, monkeypatch, argv):
     assert lazy == run_cli(*argv)
 
 
+def test_an_end_of_options_marker_before_the_command_is_dropped(run_cli):
+    assert run_cli("--", "eval", "--v", "3", "--d", "2", "--n", "5") == (0, "55\n", "")
+    # after the command the marker is still an argument the command refuses
+    code, out, err = run_cli("eval", "--v", "3", "--d", "2", "--n", "5", "--")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --\n")
+
+
 def test_the_package_imports_its_names_on_first_use():
     probe = ("import sys, hypersolids; print(set(hypersolids.__all__) <= set(dir(hypersolids)),"
              " [m for m in sys.modules if m.startswith('hypersolids.')])")

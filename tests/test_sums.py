@@ -390,8 +390,9 @@ def test_slices_never_build_the_whole_simplex(monkeypatch):
 )
 def test_slices_match_scalar_hypersolid_cell_by_cell(query, axis):
     # the slice maps must never be their own witness: every cell of every
-    # slice is evaluated again by the scalar closed form
-    for s in range(41):
+    # slice is evaluated again by the scalar closed form, on both sides of
+    # the Pascal table's bound
+    for s in [*range(41), *range(sums.PASCAL_M, sums.PASCAL_M + 4)]:
         for k in range(s + 1):
             want = []
             for other in range(s - k + 1):
@@ -407,6 +408,32 @@ def test_slices_match_scalar_hypersolid_cell_by_cell(query, axis):
                 assert report.enumerated_sum == sum(value for _, value in want), (s, k)
                 assert report.enumerated_multitude == len(want), (s, k)
             assert bare.triples is None
+
+
+def test_the_pascal_table_holds_every_binomial_below_its_bound():
+    rows, columns = sums._pascal()
+    width = sums.PASCAL_M + 2
+    assert len(rows) == sums.PASCAL_M
+    for m, row in enumerate(rows):
+        # C(m, k) up to k = m, then zeros
+        assert row == (*(math.comb(m, k) for k in range(m + 1)), *repeat(0, width - m - 1)), m
+    assert columns == tuple(zip(*rows))
+    assert max(map(max, rows)) < 2**63
+
+
+def test_slices_below_the_table_bound_call_no_comb(monkeypatch):
+    # the small slices read the table, which the adjacent-pair rule builds;
+    # only the closed forms, through binomial, still call math.comb
+    def no_comb(m, k):
+        raise AssertionError(f"a slice below the table bound called comb({m}, {k})")
+
+    monkeypatch.setattr(sums, "comb", no_comb)
+    monkeypatch.setattr(sums, "_pascal_table", None)  # built under the patch too
+    for s in range(sums.PASCAL_M + 2):
+        for k in range(s + 1):
+            for query in (sum_fixed_sv, sum_fixed_sd, sum_fixed_sn):
+                report = query(s, k)
+                assert report.consistent is report.formula_applies, (query.__name__, s, k)
 
 
 def test_fixed_difference_totals_lift_no_cell(monkeypatch):
