@@ -21,8 +21,9 @@ reads a row, a pinned dimension two columns and a pinned rank two columns
 too, as C(m, v) = C(m, n - 2) there.  Larger totals map ``math.comb`` over
 ranges.  The closed forms keep ``math.comb``, so below the bound the
 enumerated side shares no binomial with its judge.  The whole simplex is
-read row by row from the d = 0 triangle, Pascal's, built by
-``kernel._triangle_rows`` like every triangle.
+read row by row from the d = 0 triangle, Pascal's: below the same bound a
+bare total reads its rows from the same table, and larger totals and every
+listing build them with ``kernel._triangle_rows``, like every triangle.
 The difference gnomon S(v, d, n) = S(v, 0, n) + d * S(v + 1, 0, n - 1) lifts
 row c to the difference d = s - c, and a lifted row's sum is
 (P - row[c]) + d * (P - row[0]) with P = sum(row), so :func:`sum_fixed_s`
@@ -53,7 +54,9 @@ from math import comb, perm
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .kernel import IndexTriple, RangeError, _check, _Record, _triangle_rows, binomial
+from .kernel import (
+    COORD_LIMIT, IndexTriple, RangeError, _check, _Record, _triangle_rows, binomial,
+)
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
 Grid = tuple[tuple[int, ...], ...]
@@ -186,8 +189,9 @@ def _report(
 
 
 #: The slices of totals s with s - 2 < PASCAL_M read their binomials from one
-#: table of Pascal's rows m < PASCAL_M; larger totals call ``math.comb``.
-#: Every entry of the table is below 2**63.
+#: table of Pascal's rows m < PASCAL_M, and a bare whole-simplex total its
+#: rows; larger totals call ``math.comb`` or build the rows.  Every entry of
+#: the table is below 2**63.
 PASCAL_M = 64
 
 #: ``(rows, columns)`` once built, with rows[m][k] = columns[k][m] = C(m, k)
@@ -199,7 +203,7 @@ _pascal_table: tuple[Grid, Grid] | None = None
 
 
 def _pascal() -> tuple[Grid, Grid]:
-    """The table of Pascal's triangle the small slices read, built on first use.
+    """The table of Pascal's triangle the small totals read, built on first use.
 
     Row c of the d = 0 triangle holds 0, C(c - 2, 0..c - 2), 0, so the rows
     come from ``_triangle_rows`` by the adjacent-pair rule and not from
@@ -218,7 +222,11 @@ def _pascal() -> tuple[Grid, Grid]:
 
 
 def _pinned(s: int, name: str, k: int) -> tuple[int, int]:
-    """The total s and the coordinate ``name`` pinned to k, checked, with k <= s."""
+    """The total s and the coordinate ``name`` pinned to k, checked, with k <= s.
+
+    The slices admit exact ints with 0 <= k <= s < COORD_LIMIT with one test
+    and call this for anything else, which it converts or rejects.
+    """
     s = _check("s", s)
     k = _check(name, k)
     if k > s:
@@ -232,7 +240,8 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     Closed form: C(s-1, 2) for v = 0, else C(s-1, v) + C(s-1, v+2); the
     nonzero count is s - 2 (floored at 0) for v = 0, else s - v.
     """
-    s, v = _pinned(s, "v", v)
+    if not (type(s) is type(v) is int and 0 <= v <= s < COORD_LIMIT):
+        s, v = _pinned(s, "v", v)
     # A column of Pascal's triangle: m = s - d - 2 runs down as d runs up.
     if v == 0:
         values = [*range(s - 1), 0, 0][: s + 1]  # d while n >= 2, then n = 1, 0
@@ -251,11 +260,12 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
         if v == 1:
             values.append(0)  # n = 0: m = -1
     cells = zip(repeat(v), range(s - v + 1), range(s - v, -1, -1)) if include_triples else None
+    # math.comb(k, j) is 0 for j > k >= 0, and only s = 0 makes k negative
     if v == 0:
-        formula_sum = binomial(s - 1, 2)
+        formula_sum = math.comb(s - 1, 2) if s else 0
         formula_multitude = max(s - 2, 0)
     else:
-        formula_sum = binomial(s - 1, v) + binomial(s - 1, v + 2)
+        formula_sum = math.comb(s - 1, v) + math.comb(s - 1, v + 2)
         formula_multitude = s - v
     return _report(values, formula_sum, formula_multitude, cells)
 
@@ -267,7 +277,8 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     nonzero count s - 1 when d = 0 and s - d otherwise.  For d in
     {s - 1, s} every candidate value is zero and no closed form applies.
     """
-    s, d = _pinned(s, "d", d)
+    if not (type(s) is type(d) is int and 0 <= d <= s < COORD_LIMIT):
+        s, d = _pinned(s, "d", d)
     # A row of Pascal's triangle, every cell with m = s - d - 2: row c = s - d
     # of the d = 0 triangle, lifted to d by the difference gnomon.  Without a
     # listing the lift is tallied, not built.
@@ -298,7 +309,8 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     2 <= n < s.  At n = s the single candidate is zero and no closed form
     applies.
     """
-    s, n = _pinned(s, "n", n)
+    if not (type(s) is type(n) is int and 0 <= n <= s < COORD_LIMIT):
+        s, n = _pinned(s, "n", n)
     # A diagonal of Pascal's triangle: m = v + n - 2 climbs with v.  The
     # v = 0 cell holds d when m >= 0; at n = 0 the v = 1 cell has m < 0 too.
     lead = [s - n] if n >= 2 else [0] * min(2 - n, s - n + 1)
@@ -324,7 +336,7 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     elif n == 1:
         formula_sum, formula_multitude = s - 1, s - 1
     elif n < s:
-        formula_sum = 2 * binomial(s - 1, n)
+        formula_sum = 2 * math.comb(s - 1, n)
         formula_multitude = s - n + 1
     else:
         formula_sum = None
@@ -341,8 +353,11 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     difference d = s - c by the difference gnomon.  Without a listing each
     row adds its lifted sum, (P - row[c]) + d * (P - row[0]) with
     P = sum(row), and its lifted nonzero count from where the row's own
-    zeros lie, so no lifted cell is built.  A listing pairs every cell's
-    value with its coordinates, so only it lifts the rows cell by cell.
+    zeros lie, so no lifted cell is built.  Up to s = 65 (s - 2 <
+    :data:`PASCAL_M`) those rows, 0, C(c - 2, 0..c - 2), 0, are read from the
+    table the slices read; larger totals build them with ``_triangle_rows``.
+    A listing pairs every cell's value with its coordinates, so only it
+    lifts the rows cell by cell, from ``_triangle_rows`` at every total.
     """
     s = _check("s", s)
     if s >= 2:
@@ -354,7 +369,14 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     if include_triples:
         values, cells = _triples(s)
         return _report(values, formula_sum, formula_multitude, cells)
-    row_sums, row_nonzeros = zip(*map(_lifted_tally, _triangle_rows(0, s), range(s, -1, -1)))
+    if s - 2 < PASCAL_M:
+        # row c = m + 2 of the d = 0 triangle is 0, C(m, 0..m), 0, and rows 0
+        # and 1 hold only zeros; map stops at d = 0, so s < 2 reads just its own
+        table = _pascal()[0]
+        rows = [(0,), (0, 0), *[(0, *table[m][: m + 1], 0) for m in range(s - 1)]]
+    else:
+        rows = _triangle_rows(0, s)
+    row_sums, row_nonzeros = zip(*map(_lifted_tally, rows, range(s, -1, -1)))
     totals = sum(row_sums), sum(row_nonzeros)
     return _report((), formula_sum, formula_multitude, totals=totals)
 
@@ -384,12 +406,13 @@ class _Lemma(NamedTuple):
 #: line and tests.  Every literal sum that extends a shorter one is stated
 #: once, as a running sum: ``accumulate`` over a ``map`` of its terms along
 #: the parameter that extends it, so a sweep reads every partial sum of one
-#: pass and one case reads one element.  ``row_power`` and
-#: ``weighted_stick`` change every term with their parameters, so each case
-#: sums its own ``map``.  The terms call ``math.comb`` and ``math.perm``
-#: directly: the stated domains keep 0 <= k <= n in every term, and the
-#: ladder's m = 0 terms P(j, -1), zero by extension, are a running sum of
-#: zeros.  The closed forms keep ``binomial``.
+#: pass and one case reads one element.  ``weighted_stick``'s sum is the
+#: running sum of the hockey stick's partial sums.  Only ``row_power``
+#: changes every term with its parameter, so each of its cases sums its own
+#: ``map``.  The terms call ``math.comb`` and ``math.perm`` directly: the
+#: stated domains keep 0 <= k <= n in every term, and the ladder's m = 0
+#: terms P(j, -1), zero by extension, are a running sum of zeros.  The
+#: closed forms keep ``binomial``.
 LEMMAS: dict[str, _Lemma] = {
     "sum_r": _Lemma(
         ("n",),
@@ -440,9 +463,12 @@ LEMMAS: dict[str, _Lemma] = {
     "weighted_stick": _Lemma(
         ("M", "m"),
         lambda M, m: 0 <= m < M,
-        # j * C(M - j, m) for j = 1..M - m
-        lambda M, m: sum(map(mul, count(1), map(comb, range(M - 1, m - 1, -1), repeat(m)))),
-        lambda M, m: binomial(M + 1, m + 2),
+        lambda M, m, total: total,
+        lambda M, m, total: binomial(M + 1, m + 2),
+        "M",
+        # j * C(M - j, m) for j = 1..M - m, regrouped: C(i, m) is added M - i
+        # times, once in each hockey-stick partial sum from i on
+        lambda m: (m + 1, accumulate(accumulate(map(comb, count(m), repeat(m))))),
     ),
     "permutation_ladder": _Lemma(
         ("M", "m"),

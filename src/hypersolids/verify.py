@@ -3,14 +3,18 @@
 Each suite replays a family of exact identities over a finite grid and
 records every violation as (case, expected, actual).  A suite is a
 generator that computes each case where it is listed, in one thread.  A
-value several cases read is evaluated once: the gnomons suite evaluates
-each S(v, d, n) of its grid once, the corollaries suite evaluates its
-values once per difference, and the lemmas suite reads each literal sum
-that extends a shorter one from one running sum.  The theorems suite
-reads every fixed-total slice once per total, through this module's names
-``sum_fixed_sv``, ``sum_fixed_sd`` and ``sum_fixed_sn``; its cross-partition
-and zero-census cases add up the enumerated sums and nonzero counts of
-those same reports, one total per axis, and build no cell of their own.
+value several cases read is evaluated once, and a sum that extends a
+shorter one is read off one running sum: the gnomons suite evaluates each
+S(v, d, n) of its grid once; the corollaries suite evaluates its values
+once per difference and reads the row compilations of one rank level,
+S(0, d, n) + ... + S(v, d, n) for v = 0..v_max, as the prefixes of one pass
+of scalar closed-form terms; and the lemmas suite reads each literal sum
+that extends a shorter one, the weighted stick's double sum included, from
+one running sum.  The theorems suite reads every fixed-total slice once per
+total, through this module's names ``sum_fixed_sv``, ``sum_fixed_sd`` and
+``sum_fixed_sn``; its cross-partition and zero-census cases add up the
+enumerated sums and nonzero counts of those same reports, one total per
+axis, and build no cell of their own.
 A case's key is a format template and its arguments, as one tuple such as
 ``("adjacency d={} c={} v={}", d, c, v)``; it is formatted into the case's
 name only when the case fails, so a passing case builds no string.
@@ -20,16 +24,15 @@ order the cases were produced in.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from typing import Callable, Iterable, Iterator
 
 from .kernel import (
-    DEFAULT_BOUNDS, SUITES, _check, _Record, d_gnomon, hypersolid, n_gnomon, v_gnomon,
+    DEFAULT_BOUNDS, SUITES, _check, _closed, _Record, d_gnomon, hypersolid, n_gnomon, v_gnomon,
 )
 from .sums import LEMMAS, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
 from .triangle import (
     build_triangle,
-    compile_row,
     diagonal_sum,
     pascal_entry_check,
     recurrence_sequence,
@@ -166,10 +169,13 @@ def _corollary_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
             column = tuple(closed[v][: b.n_max + 1])
             below = accumulate(closed[v - 1][: b.n_max + 1])
             yield ("column-compilation d={} v={}", d, v), column, tuple(below)
+        # the row compilations of rank level n are the running sums of one
+        # pass of scalar closed-form terms, r = 0..v_max, not read from the
+        # table above, whose values are the cases' expected sides
         for n in range(2, b.n_max + 1):
-            for v in range(b.v_max + 1):
-                yield (("row-compilation d={} n={} v={}", d, n, v),
-                       closed[v][n + 1], compile_row(d, n, v))
+            compiled = accumulate(map(_closed, range(b.v_max + 1), repeat(d), repeat(n)))
+            for v, total in enumerate(compiled):
+                yield ("row-compilation d={} n={} v={}", d, n, v), closed[v][n + 1], total
         triangle = build_triangle(d, b.c_max)
         totals = [row_sum(d, c) for c in range(b.c_max + 1)]
         for c in range(b.c_max + 1):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypersolids import cli, kernel, search
+from hypersolids import cli, kernel, search, triangle, verify
 
 
 @pytest.fixture
@@ -23,7 +23,8 @@ def run_cli(capsys):
 @pytest.fixture
 def closed_calls(monkeypatch):
     """Record the scalar closed-form calls, made through ``kernel._closed``
-    or through the name ``search`` imported it under."""
+    or through the names ``search``, ``triangle`` and ``verify`` imported it
+    under."""
     calls = []
     scalar = kernel._closed
 
@@ -32,5 +33,6 @@ def closed_calls(monkeypatch):
         return scalar(v, d, n)
 
     monkeypatch.setattr(kernel, "_closed", spy)
-    monkeypatch.setattr(search, "_closed", spy)
+    for module in (search, triangle, verify):
+        monkeypatch.setattr(module, "_closed", spy)
     return calls

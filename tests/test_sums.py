@@ -423,7 +423,7 @@ def test_the_pascal_table_holds_every_binomial_below_its_bound():
 
 def test_slices_below_the_table_bound_call_no_comb(monkeypatch):
     # the small slices read the table, which the adjacent-pair rule builds;
-    # only the closed forms, through binomial, still call math.comb
+    # only the closed forms still call math.comb, and not through this name
     def no_comb(m, k):
         raise AssertionError(f"a slice below the table bound called comb({m}, {k})")
 
@@ -496,6 +496,30 @@ def test_simplex_total_by_rows_equals_the_listed_cells():
             listed.enumerated_multitude,
             listed.consistent,
         ), s
+
+
+def test_simplex_totals_below_the_table_bound_build_no_triangle_rows(monkeypatch):
+    # a bare total up to s = 65 reads Pascal's rows from the table the slices
+    # read; a listing and a larger total still build them row by row
+    sums._pascal()
+    top = sums.PASCAL_M + 1
+    listed = {s: sum_fixed_s(s, include_triples=True) for s in range(top - 1, top + 3)}
+
+    def no_rows(d, c_max, width=None):
+        raise AssertionError(f"sum_fixed_s built triangle rows 0..{c_max}")
+
+    monkeypatch.setattr(sums, "_triangle_rows", no_rows)
+    bare = {s: sum_fixed_s(s) for s in range(top + 1)}
+    assert all(bare[s].consistent is (s >= 2) for s in bare)
+    monkeypatch.undo()
+    bare.update((s, sum_fixed_s(s)) for s in range(top + 1, top + 3))
+    for s, report in listed.items():
+        values = [value for _, value in report.triples]
+        assert (bare[s].enumerated_sum, bare[s].enumerated_multitude) == (
+            sum(values), len(values)), s
+        assert (bare[s].formula_sum, bare[s].formula_multitude) == (
+            2**s - (s + 1), math.comb(s + 1, 2) - 2), s
+        assert bare[s].consistent and report.consistent, s
 
 
 def test_simplex_total_without_listing_never_builds_the_cells(monkeypatch):

@@ -16,7 +16,7 @@ from itertools import accumulate, product
 import pytest
 
 from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, Triangle, run_suite, run_suites,
-                         sums, verify)
+                         compile_row, sums, verify)
 from hypersolids.kernel import DEFAULT_BOUNDS
 from hypersolids.verify import SUITES, VerifyOutcome, _run_cases
 
@@ -104,7 +104,9 @@ def naive_gnomon_cases(b):
 def naive_corollary_cases(b):
     """The corollaries sweep as it was before its values were shared: every
     case evaluates what it reads itself.  It reads through the names the
-    shipped sweep uses, so a value patched there reaches this judge too."""
+    shipped sweep uses, so a value patched there reaches this judge too; each
+    row compilation is ``compile_row``, which sums its own closed-form terms,
+    where the sweep reads the prefixes of one running sum."""
     for d in range(b.d_max + 1):
         for c in range(3, b.c_max + 1):
             for v in range(1, c):
@@ -117,7 +119,7 @@ def naive_corollary_cases(b):
         for n in range(2, b.n_max + 1):
             for v in range(b.v_max + 1):
                 yield (f"row-compilation d={d} n={n} v={v}",
-                       verify.hypersolid(v, d, n + 1), verify.compile_row(d, n, v))
+                       verify.hypersolid(v, d, n + 1), compile_row(d, n, v))
         triangle = verify.build_triangle(d, b.c_max)
         for c in range(b.c_max + 1):
             yield f"row-total d={d} c={c}", sum(triangle.row(c)), verify.row_sum(d, c)
@@ -480,6 +482,40 @@ def test_a_wrong_value_fails_exactly_the_cases_that_read_it(monkeypatch, name, a
     assert outcome.cases_run == cases_run
     # the expected and actual sides are those of a sweep that evaluates each case alone
     assert outcome == _run_cases("corollaries", naive_corollary_cases(SMALL))
+
+
+@pytest.mark.parametrize("at", [(1, 2, 3), (0, 1, 2), (3, 3, 4)], ids=["inner", "first", "last"])
+def test_a_wrong_row_compilation_term_fails_the_compilations_that_add_it(monkeypatch, at):
+    # the row compilations of one rank level are the prefixes of one running
+    # sum of scalar terms, read through verify._closed and never from the
+    # table the adjacency and column cases read, so a wrong term S(r, d, n)
+    # fails the compilations with v >= r of that level and nothing else
+    cases_run = run_suite("corollaries", bounds=SMALL).cases_run
+    _off_by_one_at(monkeypatch, "_closed", at)
+    outcome = run_suite("corollaries", bounds=SMALL)
+    r, d, n = at
+    assert [key for key, _, _ in outcome.failures] == [
+        f"row-compilation d={d} n={n} v={v}" for v in range(r, SMALL.v_max + 1)
+    ]
+    assert outcome.cases_run == cases_run
+
+
+def test_corollary_evaluations_grow_linearly_in_the_dimension_bound(closed_calls):
+    # per difference: the shared table's scalar values, one running pass of
+    # v_max + 1 terms per rank level n = 2..n_max, rows 0-2 of the triangle
+    # and of the diagonal rows, and the diagonal totals; then the Pascal
+    # checks.  Summing each row compilation alone would cost
+    # (v_max + 1)(v_max + 2)/2 terms per rank level, 22,072 and 50,540
+    # evaluations at these bounds.
+    counts = []
+    for v_max in (12, 24):
+        closed_calls.clear()
+        assert run_suite("corollaries", bounds=GridBounds(v_max=v_max)).ok
+        counts.append(len(closed_calls))
+    assert counts == [12634, 14240]
+    # 12 more terms in each of the 11 * 11 passes, and one more dimension,
+    # v = 24, of 14 values per difference in the shared table
+    assert counts[1] - counts[0] == 11 * (11 * 12 + 14)
 
 
 def test_a_wrong_triangle_cell_fails_only_its_row_total(monkeypatch):
