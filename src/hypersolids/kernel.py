@@ -21,8 +21,11 @@ Two independent evaluation routes are provided and agree everywhere:
   progression and apply ``v - 1`` rounds of prefix summation.  The rounds
   are ``itertools.accumulate`` iterators chained over the progression, so
   every prefix of every round is still added, but no finished round is
-  kept: only the last sum of the last round is read.  A chain longer than
-  ``_CHAIN_ROUNDS`` rounds is cut by storing one round in a list.
+  kept.  The last round starts from 0, so one pass is a lazy iterator of
+  ranks 0..n (``_summation_ranks``): the scalar route reads its last
+  element, and the ``verify`` oracle reads a whole sequence off one pass.
+  A chain longer than ``_CHAIN_ROUNDS`` rounds is cut by storing one round
+  in a list.
 
 A whole sequence slice (fixed v and d, consecutive ranks) is the same closed
 form over one Pascal column: ``sequence_slice`` builds it as ``math.comb``
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import comb
 from operator import add, floordiv, mul
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -312,20 +315,45 @@ def _triangle_rows(
 _CHAIN_ROUNDS = 1000
 
 
-def _by_summation(v: int, d: int, n: int) -> int:
+def _summation_ranks(v: int, d: int, n: int) -> Iterator[int]:
+    """Iterate S(v, d, 0), ..., S(v, d, n), the ranks of one summation pass.
+
+    The progression 1, 1 + d, ..., 1 + d(n - 1) runs through v - 1 chained
+    ``accumulate`` rounds, and the last round starts from ``initial=0``, so
+    rank 0 costs no iterator layer of its own.  Nothing is added before the
+    first value is read, except that a chain longer than ``_CHAIN_ROUNDS``
+    rounds stores one round in a list.
+    """
     if v == 0:
         # The zero-dimensional sequence is not a valid summation source
         # (its prefix sums would drop the leading unit), so it keeps its
         # own rule: 0, 0, d, d, d, ...
-        return d if n >= 2 else 0
+        return chain(repeat(0, min(n + 1, 2)), repeat(d, n - 1))
     # the progression 1, 1 + d, ..., 1 + d(n - 1); a range cannot step by 0
     row: Iterable[int] = range(1, d * n + 1, d) if d else repeat(1, n)
-    for done in range(1, v):
+    if v == 1:
+        return chain((0,), row)
+    rounds = v - 2  # before the last one
+    while rounds > _CHAIN_ROUNDS:
+        for _ in range(_CHAIN_ROUNDS):
+            row = accumulate(row)
+        row = list(row)
+        rounds -= _CHAIN_ROUNDS
+    for _ in range(rounds):
         row = accumulate(row)
-        if done % _CHAIN_ROUNDS == 0:
-            row = list(row)
-    last = deque(row, maxlen=1)
-    return last[0] if last else 0
+    return accumulate(row, initial=0)
+
+
+def _by_summation(v: int, d: int, n: int) -> int:
+    if v < 2:
+        # v = 0 keeps its own rule, and v = 1 adds no round: its value is
+        # the progression's nth term, read without walking the progression
+        if v:
+            return 1 + d * (n - 1) if n else 0
+        return d if n >= 2 else 0
+    # maxlen 1 by position: that skips the keyword parse, about 0.1 us a
+    # call, which the last round's initial=0 pays
+    return deque(_summation_ranks(v, d, n), 1)[0]
 
 
 def hypersolid(v: int, d: int, n: int, method: str = "closed") -> int:

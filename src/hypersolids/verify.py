@@ -4,8 +4,10 @@ Each suite replays a family of exact identities over a finite grid and
 records every violation as (case, expected, actual).  A suite is a
 generator that computes each case where it is listed, in one thread.  A
 value several cases read is evaluated once, and a sum that extends a
-shorter one is read off one running sum: the gnomons suite evaluates each
-S(v, d, n) of its grid once; the corollaries suite evaluates its values
+shorter one is read off one running sum: the oracle suite reads every
+rank of a (v, d) sequence off one summation pass, ``_summation_ranks(v, d,
+n_max)``, and judges each by a scalar closed-form call; the gnomons suite
+evaluates each S(v, d, n) of its grid once; the corollaries suite evaluates its values
 once per difference and reads the row compilations of one rank level,
 S(0, d, n) + ... + S(v, d, n) for v = 0..v_max, as the prefixes of one pass
 of scalar closed-form terms; and the lemmas suite reads each literal sum
@@ -28,7 +30,8 @@ from itertools import accumulate, product, repeat
 from typing import Callable, Iterable, Iterator
 
 from .kernel import (
-    DEFAULT_BOUNDS, SUITES, _check, _closed, _Record, d_gnomon, hypersolid, n_gnomon, v_gnomon,
+    DEFAULT_BOUNDS, SUITES, _check, _closed, _Record, _summation_ranks, d_gnomon, hypersolid,
+    n_gnomon, v_gnomon,
 )
 from .sums import LEMMAS, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
 from .triangle import (
@@ -110,11 +113,12 @@ def _run_cases(suite: str, results: Iterable[tuple[str | tuple, object, object]]
 
 
 def _oracle_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
+    # one summation pass per (v, d) holds every rank up to n_max; each rank
+    # is judged by its own scalar closed-form call
     for v in range(b.v_max + 1):
         for d in range(b.d_max + 1):
-            for n in range(b.n_max + 1):
-                closed, summed = hypersolid(v, d, n, "closed"), hypersolid(v, d, n, "summation")
-                yield ("eval v={} d={} n={}", v, d, n), closed, summed
+            for n, summed in enumerate(_summation_ranks(v, d, b.n_max)):
+                yield ("eval v={} d={} n={}", v, d, n), hypersolid(v, d, n), summed
 
 
 # --------------------------------------------------------------- gnomons

@@ -18,12 +18,14 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import repeat
+from operator import add
 from pathlib import Path
 
 import pytest
 
 import hypersolids
-from hypersolids import GridBounds, cli, diagonal_sum, hypersolid, kernel
+from hypersolids import GridBounds, cli, diagonal_sum, hypersolid, kernel, verify
 from hypersolids.cli import _digits, _integer, build_parser
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -49,9 +51,17 @@ def test_eval_both_methods_agree(run_cli):
 
 @pytest.fixture
 def wrong_summation(monkeypatch):
-    """Make the summation route one too high, so every cross-check fails."""
-    true = kernel._by_summation
-    monkeypatch.setattr(kernel, "_by_summation", lambda v, d, n: true(v, d, n) + 1)
+    """Make every rank of the summation pass one too high, so that every
+    oracle case and every two-route eval from v = 2 on fails: the pass is
+    patched in ``kernel``, where the scalar route reads it, and under the
+    name ``verify`` imported it as."""
+    true = kernel._summation_ranks
+
+    def plus_one(v, d, n):
+        return map(add, true(v, d, n), repeat(1))
+
+    monkeypatch.setattr(kernel, "_summation_ranks", plus_one)
+    monkeypatch.setattr(verify, "_summation_ranks", plus_one)
 
 
 @pytest.mark.parametrize("fmt,want", [

@@ -9,7 +9,8 @@ here from scratch.
 from __future__ import annotations
 
 import math
-from itertools import product
+import tracemalloc
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,31 @@ def test_summation_route_cuts_long_chains_of_rounds(monkeypatch):
     monkeypatch.setattr(kernel, "_CHAIN_ROUNDS", 3)
     for v, d, n in product(range(13), range(4), range(12)):
         assert hypersolid(v, d, n, "summation") == two_binomial(v, d, n), (v, d, n)
+
+
+@pytest.mark.parametrize("rounds", [kernel._CHAIN_ROUNDS, 3], ids=["chained", "cut"])
+def test_one_summation_pass_holds_every_rank(monkeypatch, rounds):
+    # the oracle sweep reads a whole column off one pass, so every prefix of
+    # the pass, rank 0 included, must be the value at its rank
+    monkeypatch.setattr(kernel, "_CHAIN_ROUNDS", rounds)
+    for v, d, n in product(range(13), range(7), range(26)):
+        assert list(kernel._summation_ranks(v, d, n)) == [
+            two_binomial(v, d, k) for k in range(n + 1)
+        ], (v, d, n)
+
+
+def test_the_zero_dimensional_pass_is_lazy_at_the_domain_edge():
+    top = COORD_LIMIT - 1
+    assert hypersolid(0, 7, top, "summation") == 7  # the O(1) rule, no pass
+    tracemalloc.start()
+    try:
+        ranks = kernel._summation_ranks(0, 7, top)
+        head = list(islice(ranks, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head == [0, 0, 7, 7, 7]
+    assert peak < 10_000  # a materialised pass would need 2**32 slots
 
 
 def test_boundary_ladder():

@@ -16,7 +16,7 @@ from itertools import accumulate, product
 import pytest
 
 from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, Triangle, run_suite, run_suites,
-                         compile_row, sums, verify)
+                         compile_row, kernel, sums, verify)
 from hypersolids.kernel import DEFAULT_BOUNDS
 from hypersolids.verify import SUITES, VerifyOutcome, _run_cases
 
@@ -595,6 +595,31 @@ def test_gnomon_stream_equals_the_naive_sweep(bounds):
                          ids=["small", "default", "enlarged", "zero"])
 def test_oracle_stream_equals_the_naive_sweep(bounds):
     assert named(verify._oracle_cases(bounds)) == list(naive_oracle_cases(bounds))
+
+
+@pytest.mark.parametrize(("bounds", "columns"), [(GridBounds(), 99), (ENLARGED, 143)],
+                         ids=["default", "enlarged"])
+def test_the_oracle_opens_one_summation_pass_per_column(monkeypatch, bounds, columns):
+    # each (v, d) column reads all of its ranks off one pass to n_max, so the
+    # sweep adds O(v * n_max) terms per column, not O(v * n_max**2); the
+    # scalar summation route, one pass per cell, is never called
+    opened = []
+    ranks = kernel._summation_ranks
+
+    def spy(v, d, n):
+        opened.append((v, d, n))
+        return ranks(v, d, n)
+
+    def scalar(v, d, n):
+        raise AssertionError(f"scalar summation of {(v, d, n)}")
+
+    monkeypatch.setattr(verify, "_summation_ranks", spy)
+    monkeypatch.setattr(kernel, "_by_summation", scalar)
+    outcome = run_suite("oracle", bounds=bounds)
+    assert (outcome.ok, outcome.cases_run) == (True, columns * (bounds.n_max + 1))
+    assert len(opened) == columns
+    assert opened == [(v, d, bounds.n_max)
+                      for v in range(bounds.v_max + 1) for d in range(bounds.d_max + 1)]
 
 
 @pytest.mark.parametrize("bounds", [SMALL, GridBounds(), ENLARGED, GridBounds(0, 0, 0, 0, 0, 0)],
