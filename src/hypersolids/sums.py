@@ -14,16 +14,17 @@ difference pinned they share m and read one row, with the dimension pinned
 m runs down a column, and with the rank pinned m and v climb a diagonal.  A
 slice query computes its O(s) values in one pass of maps, with the v = 0 and
 m < 0 corners written out, and calls no Python function per cell.  For
-totals with s - 2 < :data:`PASCAL_M` the maps read their binomials from one
-fixed table of Pascal's rows m < PASCAL_M and their columns (:func:`_pascal`),
-built once, on first use, by the adjacent-pair rule: a pinned difference
-reads a row, a pinned dimension two columns and a pinned rank two columns
-too, as C(m, v) = C(m, n - 2) there.  Larger totals map ``math.comb`` over
-ranges.  The closed forms keep ``math.comb``, so below the bound the
-enumerated side shares no binomial with its judge.  The whole simplex is
-read row by row from the d = 0 triangle, Pascal's: below the same bound a
-bare total reads its rows from the same table, and larger totals and every
-listing build them with ``kernel._triangle_rows``, like every triangle.
+totals with s - 2 < :data:`PASCAL_M`, that is up to s = 129, the maps read
+their binomials from one fixed table of Pascal's rows m < PASCAL_M and their
+columns (:func:`_pascal`), built once, on first use, by the adjacent-pair
+rule: a pinned difference reads a row, a pinned dimension two columns and
+a pinned rank two columns too, as C(m, v) = C(m, n - 2) there.  Larger
+totals map ``math.comb`` over ranges.  The closed forms keep ``math.comb``,
+so below the bound the enumerated side shares no binomial with its judge.
+The whole simplex is read row by row from the d = 0 triangle, Pascal's:
+below the same bound a bare total reads its rows from the same table, and
+larger totals and every listing build them with ``kernel._triangle_rows``,
+like every triangle.
 The difference gnomon S(v, d, n) = S(v, 0, n) + d * S(v + 1, 0, n - 1) lifts
 row c to the difference d = s - c, and a lifted row's sum is
 (P - row[c]) + d * (P - row[0]) with P = sum(row), so :func:`sum_fixed_s`
@@ -190,9 +191,9 @@ def _report(
 
 #: The slices of totals s with s - 2 < PASCAL_M read their binomials from one
 #: table of Pascal's rows m < PASCAL_M, and a bare whole-simplex total its
-#: rows; larger totals call ``math.comb`` or build the rows.  Every entry of
-#: the table is below 2**63.
-PASCAL_M = 64
+#: rows; larger totals call ``math.comb`` or build the rows.  The largest
+#: entry, C(127, 63), is below 2**124.
+PASCAL_M = 128
 
 #: ``(rows, columns)`` once built, with rows[m][k] = columns[k][m] = C(m, k)
 #: for m < PASCAL_M and k < PASCAL_M + 2, zero for k > m.  The two columns
@@ -353,7 +354,7 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     difference d = s - c by the difference gnomon.  Without a listing each
     row adds its lifted sum, (P - row[c]) + d * (P - row[0]) with
     P = sum(row), and its lifted nonzero count from where the row's own
-    zeros lie, so no lifted cell is built.  Up to s = 65 (s - 2 <
+    zeros lie, so no lifted cell is built.  Up to s = 129 (s - 2 <
     :data:`PASCAL_M`) those rows, 0, C(c - 2, 0..c - 2), 0, are read from the
     table the slices read; larger totals build them with ``_triangle_rows``.
     A listing pairs every cell's value with its coordinates, so only it

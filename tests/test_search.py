@@ -1,12 +1,15 @@
 """Inverse-lookup tests.
 
-``naive_hits`` below is a deliberately dumb scan over the box using the
-plain product formulas (no shared code with the package's closed form);
-``representations`` must agree with it exactly.  ``walk_representations``
-is the rank walk the search ran before it listed divisors: it reaches
-targets too large for the naive scan, at about sqrt(2 * target) ranks.
-``rank_walk`` is the walk the dimensions v <= 1 ran before they were
-solved in closed form: one exact division per rank up to ``n_max``.
+``naive_hits`` below is a deliberately dumb scan over the box: each (v, d)
+column of ranks is the progression 1, 1 + d, 1 + 2d, ... summed v - 1 times
+by ``naive_column`` (no shared code with the package's closed form, its
+search or its summation route), and ``naive_value``, plain factorials,
+judges that column builder.  ``representations`` must agree with the scan
+exactly.  ``walk_representations`` is the rank walk the search ran before
+it listed divisors: it reaches targets too large for the naive scan, at
+about sqrt(2 * target) ranks.  ``rank_walk`` is the walk the dimensions
+v <= 1 ran before they were solved in closed form: one exact division per
+rank up to ``n_max``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import random
 import re
 import time
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -46,14 +50,37 @@ def naive_value(v: int, d: int, n: int) -> int:
     return first + d * second
 
 
+def naive_column(v: int, d: int, n_max: int) -> list[int]:
+    """S(v, d, n) for n = 0..n_max, by prefix sums.
+
+    Rank n >= 1 of dimension 1 is 1 + d(n - 1), and each higher dimension is
+    the running sum of the one below; dimension 0 holds d from rank 2 on.
+    """
+    if v == 0:
+        return [0, 0, *repeat(d, n_max - 1)][: n_max + 1]
+    column = [0, *(1 + d * k for k in range(n_max))]
+    for _ in range(v - 1):
+        column = list(accumulate(column))
+    return column
+
+
 def naive_hits(target, v_lo, v_hi, d_lo, d_hi, n_min, n_max):
     out = []
     for v in range(v_lo, v_hi + 1):
         for d in range(d_lo, d_hi + 1):
+            column = naive_column(v, d, n_max)
             for n in range(n_min, n_max + 1):
-                if naive_value(v, d, n) == target:
+                if column[n] == target:
                     out.append((v, d, n))
     return out
+
+
+def test_the_column_builder_matches_factorials():
+    for v in range(12):
+        for d in range(10):
+            assert naive_column(v, d, 30) == [naive_value(v, d, n) for n in range(31)], (v, d)
+    assert naive_column(0, 3, 0) == [0] and naive_column(0, 3, 1) == [0, 0]
+    assert naive_column(4, 2, 0) == [0]
 
 
 def box_representations(target, **box):

@@ -418,7 +418,7 @@ def test_the_pascal_table_holds_every_binomial_below_its_bound():
         # C(m, k) up to k = m, then zeros
         assert row == (*(math.comb(m, k) for k in range(m + 1)), *repeat(0, width - m - 1)), m
     assert columns == tuple(zip(*rows))
-    assert max(map(max, rows)) < 2**63
+    assert max(map(max, rows)) == math.comb(sums.PASCAL_M - 1, (sums.PASCAL_M - 1) // 2)
 
 
 def test_slices_below_the_table_bound_call_no_comb(monkeypatch):
@@ -499,7 +499,7 @@ def test_simplex_total_by_rows_equals_the_listed_cells():
 
 
 def test_simplex_totals_below_the_table_bound_build_no_triangle_rows(monkeypatch):
-    # a bare total up to s = 65 reads Pascal's rows from the table the slices
+    # a bare total up to s = 129 reads Pascal's rows from the table the slices
     # read; a listing and a larger total still build them row by row
     sums._pascal()
     top = sums.PASCAL_M + 1
