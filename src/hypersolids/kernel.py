@@ -168,15 +168,21 @@ def binomial(n: int, k: int) -> int:
     """C(n, k), extended by zero: 0 whenever k < 0, k > n, or n < 0.
 
     The zero extension is what lets the closed form of :func:`hypersolid`
-    be one total expression with no case analysis at the boundaries.
+    be one total expression with no case analysis at the boundaries.  An
+    argument that is not an exact int (bool, float and str included) raises
+    :class:`RangeError`; an ``__index__`` object is converted.
     """
+    if not (type(n) is type(k) is int):  # the common case costs this one test
+        n, k = _exact_int("n", n), _exact_int("k", k)
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
 
 
 def permutation(n: int, k: int) -> int:
-    """n! / (n - k)! with the same zero extension as :func:`binomial`."""
+    """n! / (n - k)! with the same zero extension and checks as :func:`binomial`."""
+    if not (type(n) is type(k) is int):
+        n, k = _exact_int("n", n), _exact_int("k", k)
     if k < 0 or n < 0 or k > n:
         return 0
     return math.perm(n, k)

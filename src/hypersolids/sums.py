@@ -9,22 +9,23 @@ form (or ``None`` where none applies) next to an exhaustive enumeration of
 the same triples, so the two can be compared exactly.
 
 Every value here is C(m, v - 1) + d * C(m, v) with m = v + n - 2, so the
-cells of a slice lie along one line of Pascal's triangle: with the
-difference pinned they share m and read one row, with the dimension pinned
-m runs down a column, and with the rank pinned m and v climb a diagonal.  A
-slice query computes its O(s) values in one pass of maps, with the v = 0 and
-m < 0 corners written out, and calls no Python function per cell.  For
-totals with s - 2 < :data:`PASCAL_M`, that is up to s = 129, the maps read
-their binomials from one fixed table of Pascal's rows m < PASCAL_M and their
-columns (:func:`_pascal`), built once, on first use, by the adjacent-pair
-rule: a pinned difference reads a row, a pinned dimension two columns and
-a pinned rank two columns too, as C(m, v) = C(m, n - 2) there.  Larger
-totals map ``math.comb`` over ranges.  The closed forms keep ``math.comb``,
-so below the bound the enumerated side shares no binomial with its judge.
-The whole simplex is read row by row from the d = 0 triangle, Pascal's:
-below the same bound a bare total reads its rows from the same table, and
-larger totals and every listing build them with ``kernel._triangle_rows``,
-like every triangle.
+cells of a slice lie along one line of Pascal's triangle, which is the d = 0
+triangle: with the difference pinned they share m and read one row, with
+the dimension or the rank pinned m runs down two columns.  A slice query
+computes its O(s) values in one pass of maps, with the v = 0, rank 0 and
+rank 1 corners written out, and calls no Python function per cell.  The
+binomials come from one fixed table (:func:`_pascal`) of that triangle's
+rows c = 0..PASCAL_M + 1 and their columns, built once, on first use, by
+the adjacent-pair rule, and each shape has one reader.  :func:`_rows` gives
+rows 0..s, from the table up to s = 129 (s - 2 < :data:`PASCAL_M`) and
+built by ``kernel._triangle_rows`` above; a bare whole-simplex total and
+every listing of it read them.  A pinned difference reads its one row
+c = s - d from the table whenever c <= 129, at any total.
+:func:`_weighted_columns` gives C(m, a) + (s - 2 - m) * C(m, b) down two
+columns, from the table up to s = 129 and by ``math.comb`` maps above: a
+pinned dimension reads columns (v - 1, v), a pinned rank (n - 1, n - 2), as
+C(m, v) = C(m, n - 2) there.  The closed forms keep ``math.comb``, so from
+the table the enumerated side shares no binomial with its judge.
 The difference gnomon S(v, d, n) = S(v, 0, n) + d * S(v + 1, 0, n - 1) lifts
 row c to the difference d = s - c, and a lifted row's sum is
 (P - row[c]) + d * (P - row[0]) with P = sum(row), so :func:`sum_fixed_s`
@@ -101,10 +102,11 @@ def _simplex_rows(s: int) -> Iterator[list[int]]:
 
     The list for difference d holds S(v, d, s - d - v) for v = 0..s - d;
     the lists come for d = s, s - 1, ..., 0.  They are the rows c = s - d of
-    the d = 0 triangle, which is Pascal's, each lifted to its difference by
-    :func:`_with_difference`.  Only listings read them (:func:`_triples`).
+    the d = 0 triangle, which is Pascal's, read by :func:`_rows` and each
+    lifted to its difference by :func:`_with_difference`.  Only listings
+    read them (:func:`_triples`).
     """
-    return map(_with_difference, _triangle_rows(0, s), range(s, -1, -1))
+    return map(_with_difference, _rows(s), range(s, -1, -1))
 
 
 def _triples(s: int) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -189,37 +191,60 @@ def _report(
     return SumReport(formula_sum, enum_sum, formula_multitude, multitude, triples, consistent)
 
 
-#: The slices of totals s with s - 2 < PASCAL_M read their binomials from one
-#: table of Pascal's rows m < PASCAL_M, and a bare whole-simplex total its
-#: rows; larger totals call ``math.comb`` or build the rows.  The largest
+#: The table holds rows c = 0..PASCAL_M + 1 of the d = 0 triangle, Pascal's
+#: rows m = c - 2 < PASCAL_M.  A read whose last row has c - 2 < PASCAL_M
+#: takes it, the rest call ``math.comb`` or build the rows.  The largest
 #: entry, C(127, 63), is below 2**124.
 PASCAL_M = 128
 
-#: ``(rows, columns)`` once built, with rows[m][k] = columns[k][m] = C(m, k)
-#: for m < PASCAL_M and k < PASCAL_M + 2, zero for k > m.  The two columns
-#: past the last row's end hold only zeros, so columns[-1] and columns[-2]
-#: read as C(m, -1) and C(m, -2).  One tuple, so a reader in another thread
-#: never pairs new rows with old columns.
+#: ``(rows, columns)`` once built.  rows[c] is row c of the d = 0 triangle,
+#: 0, C(c - 2, 0..c - 2), 0, for c = 0..PASCAL_M + 1, and columns are the
+#: rows zero-padded to width PASCAL_M + 3 and transposed, so
+#: columns[k + 1][m + 2] = C(m, k), zero for k > m.  One tuple, so a reader
+#: in another thread never pairs new rows with old columns.
 _pascal_table: tuple[Grid, Grid] | None = None
 
 
 def _pascal() -> tuple[Grid, Grid]:
     """The table of Pascal's triangle the small totals read, built on first use.
 
-    Row c of the d = 0 triangle holds 0, C(c - 2, 0..c - 2), 0, so the rows
-    come from ``_triangle_rows`` by the adjacent-pair rule and not from
-    ``math.comb``, which the closed forms keep.
+    The rows are those of ``_triangle_rows``, made by the adjacent-pair rule
+    and not by ``math.comb``, which the closed forms keep.
     """
     global _pascal_table
     table = _pascal_table
     if table is None:
-        width = PASCAL_M + 2
-        rows = tuple(
-            row[1:-1] + (0,) * (width + 2 - len(row))
-            for row in islice(_triangle_rows(0, PASCAL_M + 1), 2, None)
-        )
-        table = _pascal_table = rows, tuple(zip(*rows))
+        rows = tuple(_triangle_rows(0, PASCAL_M + 1))
+        width = PASCAL_M + 3
+        columns = tuple(zip(*(row + (0,) * (width - len(row)) for row in rows)))
+        table = _pascal_table = rows, columns
     return table
+
+
+def _rows(s: int) -> Iterable[tuple[int, ...]]:
+    """Rows 0..s of the d = 0 triangle, Pascal's: from the table up to s = 129."""
+    if s - 2 < PASCAL_M:
+        return _pascal()[0][: s + 1]
+    return _triangle_rows(0, s)
+
+
+def _weighted_columns(s: int, a: int, b: int, m_low: int) -> Iterator[int]:
+    """C(m, a) + (s - 2 - m) * C(m, b) for m = m_low..s - 2, with a, b >= 0.
+
+    Two columns of Pascal's triangle, read from the table up to s = 129 and
+    by ``math.comb`` maps above.  With m = v + n - 2 and d = s - 2 - m, a
+    pinned dimension's cells are (a, b) = (v - 1, v) and a pinned rank's
+    (n - 1, n - 2).
+    """
+    if s - 2 < PASCAL_M:
+        columns = _pascal()[1]
+        low = columns[a + 1][m_low + 2 : s + 1]
+        high = columns[b + 1][m_low + 2 : s + 1]
+    else:
+        ms = range(m_low, s - 1)
+        low = map(comb, ms, repeat(a))
+        high = map(comb, ms, repeat(b))
+    return map(add, low, map(mul, range(s - 2 - m_low, -1, -1), high))
 
 
 def _pinned(s: int, name: str, k: int) -> tuple[int, int]:
@@ -243,21 +268,12 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     """
     if not (type(s) is type(v) is int and 0 <= v <= s < COORD_LIMIT):
         s, v = _pinned(s, "v", v)
-    # A column of Pascal's triangle: m = s - d - 2 runs down as d runs up.
+    # Two columns of Pascal's triangle: m = s - d - 2 runs down as d runs up.
     if v == 0:
         values = [*range(s - 1), 0, 0][: s + 1]  # d while n >= 2, then n = 1, 0
     else:
-        # the cells with m >= 0, d = 0, 1, ...: m = s - 2 down to m_low
-        m_low = max(v - 2, 0)
-        if s - 2 < PASCAL_M:
-            _, columns = _pascal()
-            low = reversed(columns[v - 1][m_low:s - 1])
-            high = reversed(columns[v][m_low:s - 1])
-        else:
-            ms = range(s - 2, m_low - 1, -1)
-            low = map(comb, ms, repeat(v - 1))
-            high = map(comb, ms, repeat(v))
-        values = list(map(add, low, map(mul, count(), high)))
+        values = list(_weighted_columns(s, v - 1, v, max(v - 2, 0)))  # the cells with m >= 0
+        values.reverse()
         if v == 1:
             values.append(0)  # n = 0: m = -1
     cells = zip(repeat(v), range(s - v + 1), range(s - v, -1, -1)) if include_triples else None
@@ -283,13 +299,11 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     # A row of Pascal's triangle, every cell with m = s - d - 2: row c = s - d
     # of the d = 0 triangle, lifted to d by the difference gnomon.  Without a
     # listing the lift is tallied, not built.
-    m = s - d - 2
-    if m < 0:
-        row = [0] * (s - d + 1)
-    elif s - 2 < PASCAL_M:
-        row = [0, *_pascal()[0][m][: m + 1], 0]
+    c = s - d
+    if c - 2 < PASCAL_M:
+        row = _pascal()[0][c]
     else:
-        row = [0, *map(comb, repeat(m), range(m + 1)), 0]
+        row = (0, *map(comb, repeat(c - 2), range(c - 1)), 0)
     if d <= s - 2:
         formula_sum = (d + 1) * 2 ** (s - d - 2)
         formula_multitude = s - 1 if d == 0 else s - d
@@ -312,25 +326,16 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     """
     if not (type(s) is type(n) is int and 0 <= n <= s < COORD_LIMIT):
         s, n = _pinned(s, "n", n)
-    # A diagonal of Pascal's triangle: m = v + n - 2 climbs with v.  The
-    # v = 0 cell holds d when m >= 0; at n = 0 the v = 1 cell has m < 0 too.
-    lead = [s - n] if n >= 2 else [0] * min(2 - n, s - n + 1)
-    v0 = len(lead)
-    m_low = v0 + n - 2  # m for v = v0..s - n runs m_low..s - 2
-    ds = range(s - n - v0, -1, -1)
-    if s - 2 < PASCAL_M:
-        # C(m, v - 1) = C(m, n - 1) and C(m, v) = C(m, n - 2) for n >= 2, so m
-        # climbs two columns.  At n = 1 the cells read C(m, m) = C(m, 0) and
-        # C(m, m + 1) = 0, at n = 0 two zeros: columns -1 and -2 are the
-        # table's last two, which hold only zeros.
-        _, columns = _pascal()
-        low = columns[n - 1][m_low:s - 1]
-        high = columns[n - 2][m_low:s - 1]
+    # Two columns of Pascal's triangle: m = v + n - 2 climbs with v, and
+    # C(m, v - 1) = C(m, n - 1), C(m, v) = C(m, n - 2).  The v = 0 cell holds
+    # d when m >= 0; rank 0 is all zeros, and rank 1 holds C(m, m) = 1 from
+    # v = 1 on.
+    if n >= 2:
+        values = [s - n, *_weighted_columns(s, n - 1, n - 2, n - 1)]
+    elif n == 1:
+        values = [0, *repeat(1, s - 1)]
     else:
-        ms = range(m_low, s - 1)
-        low = map(comb, ms, count(v0 - 1))
-        high = map(comb, ms, count(v0))
-    values = [*lead, *map(add, low, map(mul, ds, high))]
+        values = [0] * (s + 1)
     cells = zip(range(s - n + 1), range(s - n, -1, -1), repeat(n)) if include_triples else None
     if n == 0:
         formula_sum, formula_multitude = 0, 0
@@ -354,11 +359,10 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     difference d = s - c by the difference gnomon.  Without a listing each
     row adds its lifted sum, (P - row[c]) + d * (P - row[0]) with
     P = sum(row), and its lifted nonzero count from where the row's own
-    zeros lie, so no lifted cell is built.  Up to s = 129 (s - 2 <
-    :data:`PASCAL_M`) those rows, 0, C(c - 2, 0..c - 2), 0, are read from the
-    table the slices read; larger totals build them with ``_triangle_rows``.
-    A listing pairs every cell's value with its coordinates, so only it
-    lifts the rows cell by cell, from ``_triangle_rows`` at every total.
+    zeros lie, so no lifted cell is built.  The rows, 0, C(c - 2, 0..c - 2),
+    0, come from :func:`_rows`: from the table the slices read up to s = 129,
+    built with ``_triangle_rows`` above.  A listing pairs every cell's value
+    with its coordinates, so only it lifts the rows cell by cell.
     """
     s = _check("s", s)
     if s >= 2:
@@ -370,14 +374,7 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     if include_triples:
         values, cells = _triples(s)
         return _report(values, formula_sum, formula_multitude, cells)
-    if s - 2 < PASCAL_M:
-        # row c = m + 2 of the d = 0 triangle is 0, C(m, 0..m), 0, and rows 0
-        # and 1 hold only zeros; map stops at d = 0, so s < 2 reads just its own
-        table = _pascal()[0]
-        rows = [(0,), (0, 0), *[(0, *table[m][: m + 1], 0) for m in range(s - 1)]]
-    else:
-        rows = _triangle_rows(0, s)
-    row_sums, row_nonzeros = zip(*map(_lifted_tally, rows, range(s, -1, -1)))
+    row_sums, row_nonzeros = zip(*map(_lifted_tally, _rows(s), range(s, -1, -1)))
     totals = sum(row_sums), sum(row_nonzeros)
     return _report((), formula_sum, formula_multitude, totals=totals)
 

@@ -99,6 +99,33 @@ def test_permutation_values(n, k, expected):
     assert permutation(n, k) == expected
 
 
+class Index:
+    """An integer-like object that is not an int: it has only ``__index__``."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+@pytest.mark.parametrize("function", [binomial, permutation])
+@pytest.mark.parametrize(
+    "n,k", [(True, 1), (5, False), (2.5, 1), (5, 2.0), ("5", 2), (5, "2"), (None, 1)]
+)
+def test_binomial_and_permutation_refuse_what_is_not_an_exact_int(function, n, k):
+    with pytest.raises(RangeError, match="must be an integer"):
+        function(n, k)
+
+
+@pytest.mark.parametrize("function,expected", [(binomial, 10), (permutation, 20)])
+def test_binomial_and_permutation_convert_index_objects(function, expected):
+    assert function(Index(5), 2) == function(5, Index(2)) == expected
+    assert function(Index(5), Index(2)) == expected
+    # converted arguments keep the zero extension
+    assert function(Index(-1), 0) == function(3, Index(5)) == function(Index(6), Index(-2)) == 0
+
+
 @given(n=st.integers(1, 60), k=st.integers(-3, 63))
 def test_binomial_additive_recurrence_property(n, k):
     # holds for every k once n >= 1; the zero extension only breaks it at n = k = 0

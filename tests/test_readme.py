@@ -1,8 +1,12 @@
-"""The README states the public contract: every public name and every option."""
+"""The README states the public contract: every public name and every option,
+and its Library example prints what its comments say."""
 
 from __future__ import annotations
 
+import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,36 @@ def test_the_readme_names_every_option_of_each_command(command):
                for option in action.option_strings if option.startswith("--")]
     assert options
     assert [option for option in options if not mentioned(option)] == []
+
+
+def library_example() -> str:
+    """The README's first ```python block, the Library example."""
+    match = re.search(r"^```python\n(.*?)^```$", README, re.S | re.M)
+    assert match, "the README has no ```python block"
+    return match.group(1)
+
+
+def test_the_readme_library_example_runs_and_prints_what_its_comments_say():
+    # every one-line expression whose comment starts with a value, as in
+    # "# 35   (...)", "# 25: ..." or "# 162, 162, True", must evaluate to it
+    block = library_example()
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    comments = {token.start[0]: token.string[1:].strip()
+                for token in tokenize.generate_tokens(io.StringIO(block).readline)
+                if token.type == tokenize.COMMENT}
+    checked = []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr) or node.lineno != node.end_lineno:
+            continue
+        leading = re.match(r"(.+?)(?::|\s{2,}|$)", comments.get(node.lineno, ""))
+        if leading is None:
+            continue
+        try:
+            want = ast.literal_eval(leading.group(1))
+        except (ValueError, SyntaxError):
+            continue
+        expression = ast.get_source_segment(block, node)
+        assert eval(expression, namespace) == want, expression
+        checked.append(expression)
+    assert len(checked) >= 10, checked

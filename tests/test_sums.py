@@ -28,7 +28,7 @@ from hypersolids import (
     sum_fixed_sn,
     sum_fixed_sv,
 )
-from hypersolids.kernel import binomial, permutation
+from hypersolids.kernel import _triangle_rows, binomial, permutation
 
 # Every nonzero value S(v, d, n) with v + d + n == 6, keyed by (v, d, n).
 CENSUS_S6 = {
@@ -411,19 +411,27 @@ def test_slices_match_scalar_hypersolid_cell_by_cell(query, axis):
 
 
 def test_the_pascal_table_holds_every_binomial_below_its_bound():
+    # rows c = 0..PASCAL_M + 1 of the d = 0 triangle, row[v] = C(c - 2, v - 1)
+    # zero-extended, and beside them the rows padded and transposed
     rows, columns = sums._pascal()
-    width = sums.PASCAL_M + 2
-    assert len(rows) == sums.PASCAL_M
-    for m, row in enumerate(rows):
-        # C(m, k) up to k = m, then zeros
-        assert row == (*(math.comb(m, k) for k in range(m + 1)), *repeat(0, width - m - 1)), m
-    assert columns == tuple(zip(*rows))
+    top = sums.PASCAL_M + 1
+    assert rows == tuple(_triangle_rows(0, top))
+    for c, row in enumerate(rows):
+        assert row == tuple(comb0(c - 2, v - 1) for v in range(c + 1)), c
+    width = sums.PASCAL_M + 3
+    assert columns == tuple(zip(*(row + (0,) * (width - len(row)) for row in rows)))
+    assert len(columns) == width and {len(column) for column in columns} == {top + 1}
+    assert set(columns[0]) == {0}
+    for k in range(width - 1):
+        for m in range(-2, sums.PASCAL_M):
+            assert columns[k + 1][m + 2] == comb0(m, k), (m, k)
     assert max(map(max, rows)) == math.comb(sums.PASCAL_M - 1, (sums.PASCAL_M - 1) // 2)
 
 
 def test_slices_below_the_table_bound_call_no_comb(monkeypatch):
     # the small slices read the table, which the adjacent-pair rule builds;
-    # only the closed forms still call math.comb, and not through this name
+    # only the closed forms still call math.comb, and not through this name.
+    # Their listings read the same table
     def no_comb(m, k):
         raise AssertionError(f"a slice below the table bound called comb({m}, {k})")
 
@@ -434,6 +442,58 @@ def test_slices_below_the_table_bound_call_no_comb(monkeypatch):
             for query in (sum_fixed_sv, sum_fixed_sd, sum_fixed_sn):
                 report = query(s, k)
                 assert report.consistent is report.formula_applies, (query.__name__, s, k)
+    for s in (0, 1, 2, 40, sums.PASCAL_M + 1):
+        for k in range(s + 1):
+            for query in (sum_fixed_sv, sum_fixed_sd, sum_fixed_sn):
+                report = query(s, k, include_triples=True)
+                assert report.consistent is report.formula_applies, (query.__name__, s, k)
+
+
+def test_a_pinned_difference_reads_its_row_from_the_table_at_any_total(monkeypatch):
+    # row c = s - d is in the table whenever c - 2 < PASCAL_M, whatever the
+    # total; only rows c >= 130 call math.comb, and c = 130 is the first
+    def no_comb(m, k):
+        raise AssertionError(f"a pinned difference called comb({m}, {k})")
+
+    sums._pascal()
+    monkeypatch.setattr(sums, "comb", no_comb)
+    first = sums.PASCAL_M + 2
+    for s in (130, 200, 300):
+        for d in range(s - first + 1, s + 1):
+            for listed in (False, True):
+                report = sum_fixed_sd(s, d, include_triples=listed)
+                assert report.consistent is (d <= s - 2), (s, d)
+                assert report.enumerated_sum == ((d + 1) * 2 ** (s - d - 2) if d <= s - 2 else 0)
+        with pytest.raises(AssertionError, match="called comb"):
+            sum_fixed_sd(s, s - first)
+
+
+def test_slices_above_the_table_bound_pay_their_comb_calls_by_a_fixed_rule(monkeypatch):
+    # At total s every pinned dimension and pinned rank pays 2 calls per cell
+    # with m >= 0 once s >= 130, and a pinned difference c - 1 calls for its
+    # row c = s - d once c >= 130:
+    #   dimension v >= 1: m = max(v - 2, 0)..s - 2, so v = 1 has s - 1 cells
+    #     and v = 2..s have s + 1 - v, in all (s - 1) + s(s - 1)/2 cells;
+    #   rank n >= 2: m = n - 1..s - 2, s - n cells, in all (s - 2)(s - 1)/2;
+    #   difference: the sum of c - 1 over c = 130..s.
+    # s = 130: 2 * (129 + 8385) = 17028, 2 * 8256 = 16512, 129.
+    # s = 160: 2 * (159 + 12720) = 25758, 2 * 12561 = 25122, 129 + ... + 159 = 4464.
+    sums._pascal()
+    real = sums.comb
+    calls = {}
+
+    def counting(m, k):
+        calls[axis] += 1
+        return real(m, k)
+
+    monkeypatch.setattr(sums, "comb", counting)
+    want = {129: (0, 0, 0), 130: (17028, 129, 16512), 160: (25758, 4464, 25122)}
+    for s, counts in want.items():
+        for axis, query in enumerate((sum_fixed_sv, sum_fixed_sd, sum_fixed_sn)):
+            calls[axis] = 0
+            for k in range(s + 1):
+                query(s, k)
+        assert (calls[0], calls[1], calls[2]) == counts, s
 
 
 def test_fixed_difference_totals_lift_no_cell(monkeypatch):
@@ -500,10 +560,10 @@ def test_simplex_total_by_rows_equals_the_listed_cells():
 
 def test_simplex_totals_below_the_table_bound_build_no_triangle_rows(monkeypatch):
     # a bare total up to s = 129 reads Pascal's rows from the table the slices
-    # read; a listing and a larger total still build them row by row
+    # read, and so does a listing of the whole simplex; only a larger total,
+    # bare or listed, still builds them row by row
     sums._pascal()
     top = sums.PASCAL_M + 1
-    listed = {s: sum_fixed_s(s, include_triples=True) for s in range(top - 1, top + 3)}
 
     def no_rows(d, c_max, width=None):
         raise AssertionError(f"sum_fixed_s built triangle rows 0..{c_max}")
@@ -511,8 +571,11 @@ def test_simplex_totals_below_the_table_bound_build_no_triangle_rows(monkeypatch
     monkeypatch.setattr(sums, "_triangle_rows", no_rows)
     bare = {s: sum_fixed_s(s) for s in range(top + 1)}
     assert all(bare[s].consistent is (s >= 2) for s in bare)
+    listed = {s: sum_fixed_s(s, include_triples=True) for s in (top - 1, top)}
+    assert len(enumerate_triples(top)) == (top + 1) * (top + 2) // 2
     monkeypatch.undo()
     bare.update((s, sum_fixed_s(s)) for s in range(top + 1, top + 3))
+    listed.update((s, sum_fixed_s(s, include_triples=True)) for s in range(top + 1, top + 3))
     for s, report in listed.items():
         values = [value for _, value in report.triples]
         assert (bare[s].enumerated_sum, bare[s].enumerated_multitude) == (
