@@ -9,8 +9,12 @@ here from scratch.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +250,17 @@ def test_summation_route_cuts_long_chains_of_rounds(monkeypatch):
     monkeypatch.setattr(kernel, "_CHAIN_ROUNDS", 3)
     for v, d, n in product(range(13), range(4), range(12)):
         assert hypersolid(v, d, n, "summation") == two_binomial(v, d, n), (v, d, n)
+
+
+def test_a_pass_of_200000_rounds_fits_the_c_stack():
+    # the cut keeps the chain of iterator rounds at most _CHAIN_ROUNDS deep;
+    # without it this pass overflowed the C stack and killed the
+    # interpreter, so it runs in a fresh one
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    code = "from hypersolids import hypersolid; print(hypersolid(200000, 3, 4, 'summation'))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, f"{two_binomial(200000, 3, 4)}\n")
 
 
 @pytest.mark.parametrize("rounds", [kernel._CHAIN_ROUNDS, 3], ids=["chained", "cut"])

@@ -173,13 +173,30 @@ def test_factor_gives_up_when_its_trial_divisions_overrun(monkeypatch):
 
 def test_a_primality_test_is_charged_for_its_witnesses_and_its_lucas_steps(monkeypatch):
     # the prime 124500499 lies past TRIAL_LIMIT**2: 172 trial divisions, then
-    # one unit per bit (27) for each of the 13 witnesses and two for the
-    # strong Lucas test, all charged before the test runs
+    # eight units per bit (27) for the 13 witnesses and the strong Lucas test
+    # together, all charged before the test runs
     t = 124500499
-    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 172 + 27 * (13 + 2))
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 172 + 27 * 8)
     assert _primes.factor(t) == {t: 1}
-    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 172 + 27 * (13 + 2) - 1)
+    monkeypatch.setattr(_primes, "FACTOR_BUDGET", 172 + 27 * 8 - 1)
     assert _primes.factor(t) is None
+
+
+def test_a_big_prime_is_charged_within_the_budget_and_tested():
+    # 2**2203 - 1 is prime: 172 trial divisions of 9 units, then a test
+    # charged 8 * 45 units per bit, 794,628 units in all
+    t = 2**2203 - 1
+    assert _primes.factor(t) == {t: 1}
+
+
+def test_a_prime_too_big_for_the_budget_is_refused_before_its_test(monkeypatch):
+    # the test of 2**4423 - 1 would be charged 8 * 171 units per bit, about
+    # 6.05e6, past FACTOR_BUDGET, so it never runs
+    def refused(m):
+        raise AssertionError(f"a {m.bit_length()}-bit primality test ran")
+
+    monkeypatch.setattr(_primes, "_is_probable_prime", refused)
+    assert _primes.factor(2**4423 - 1) is None
 
 
 def test_trial_division_stops_when_its_budget_runs_out(monkeypatch):

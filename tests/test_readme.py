@@ -66,3 +66,9 @@ def test_the_readme_library_example_runs_and_prints_what_its_comments_say():
         assert eval(expression, namespace) == want, expression
         checked.append(expression)
     assert len(checked) >= 10, checked
+
+
+def test_the_readme_quotes_no_timing():
+    # timings belong to one host: CHANGES.md and the BENCH_*.json files keep them
+    timings = re.findall(r"\d\s*(?:µs|ms|s)\b", README)
+    assert timings == []

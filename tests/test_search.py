@@ -749,7 +749,8 @@ def test_the_one_hit_box_runs_from_the_command_line(run_cli):
 
 #: S(2, 1000004, 250) = 250 * 124500499, and the prime 124500499 lies past
 #: TRIAL_LIMIT**2, so factoring HARD costs a primality test, charged before
-#: it runs; these units, one per bit (27) and witness (13), are short of it
+#: it runs; these units, 13 per bit (27), are short of its 172 trial
+#: divisions and 8 units per bit
 HARD = 250 * 124500499
 HARD_TEST_UNITS = 27 * 13
 

@@ -12,6 +12,7 @@ import copy
 import math
 import pickle
 from itertools import product, repeat
+from operator import add, mul
 
 import pytest
 
@@ -599,16 +600,39 @@ def comb0(m: int, k: int) -> int:
     return math.comb(m, k) if m >= 0 and k >= 0 else 0
 
 
+def pascal_rows(top: int) -> list[list[int]]:
+    """Rows 0..top of Pascal's triangle, each the sums of neighbours in the
+    row before; it shares no code with ``sums`` or ``kernel``."""
+    rows = [[1]]
+    for _ in range(top):
+        rows.append([1, *map(add, rows[-1], rows[-1][1:]), 1])
+    return rows
+
+
+def simplex_cells(s: int, pascal: list[list[int]]) -> list[int]:
+    """Every cell S(v, d, n) = C(m, v - 1) + d * C(m, v), m = v + n - 2, of
+    total s: along a difference d the cells v = 0..c, c = s - d, read Pascal
+    row c - 2, zero-extended on both sides, or are 0 where c < 2."""
+    values = []
+    for d in range(s + 1):
+        c = s - d
+        if c < 2:
+            values += [0] * (c + 1)
+        else:
+            row = pascal[c - 2]
+            values += map(add, [0, *row, 0], map(mul, [*row, 0, 0], repeat(d)))
+    return values
+
+
 def test_simplex_total_by_row_totals_equals_the_listing_and_every_cell():
     # the bare report adds one lifted total per Pascal row; the listing lifts
-    # every cell, and the oracle evaluates every cell from two binomials
+    # every cell, and the oracle evaluates every cell from test-local Pascal rows
+    pascal = pascal_rows(198)
+    for s in range(31):  # where two binomials per cell are cheap, they judge the oracle
+        assert simplex_cells(s, pascal) == [comb0(s - d - 2, v - 1) + d * comb0(s - d - 2, v)
+                                            for d in range(s + 1) for v in range(s - d + 1)], s
     for s in range(201):
-        values = [
-            comb0(v + n - 2, v - 1) + d * comb0(v + n - 2, v)
-            for v in range(s + 1)
-            for d in range(s - v + 1)
-            for n in (s - v - d,)
-        ]
+        values = simplex_cells(s, pascal)
         want = (sum(values), len(values) - values.count(0))
         bare = sum_fixed_s(s)
         listed = sum_fixed_s(s, include_triples=True)
