@@ -13,10 +13,12 @@ Two independent evaluation routes are provided and agree everywhere:
   evaluated with one binomial as ``C(v + n - 2, v - 1) * (v + d(n - 1)) / v``
   (the division is exact) and with the corners of the zero-extended
   binomial written out, so that it covers the whole domain.  That binomial
-  is ``math.comb``, except when both of its sides are large and neither is
-  under a tenth of the top (see ``_PRIME_ROUTE_SIDE``): there it is a product
-  of prime powers from :mod:`hypersolids._primes`, which needs none of the
-  big-integer divisions that make ``math.comb`` slow there;
+  is ``math.comb``, except when both of its sides are at least
+  ``_PRIME_ROUTE_SIDE`` (700) and neither is under a tenth of the top: there
+  it is a product of prime powers from :mod:`hypersolids._primes`, which
+  needs none of the big-integer divisions that make ``math.comb`` slow
+  there.  The public ``binomial``, the ``sums`` formulas and the summation
+  route never take this path, so nothing that checks it uses it;
 * ``summation`` - the literal construction: start from the one-dimensional
   progression and apply ``v - 1`` rounds of prefix summation.  The rounds
   are ``itertools.accumulate`` iterators chained over the progression, so

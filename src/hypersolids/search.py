@@ -35,7 +35,11 @@ they fit the same budget, and otherwise ``RangeError`` is raised.  The
 dimension loop ends at the first v where S(v, d_lo, 3), a lower bound on
 every cell of rank >= 3 in the box, exceeds the target, so it visits about
 sqrt(2t) dimensions whatever the box's ranks; it is skipped when the box
-holds no rank >= 3.
+holds no rank >= 3.  At t = 10 a dimension range up to COORD_LIMIT - 1
+stops at v = 5; at t = 10**12 it still visits about 1.4 * 10**6
+dimensions.  With rank 2 in the box, t = 10**5 has 100,008 hits, those of
+rank 2 in closed form, and its rank checks still visit about sqrt(2t)
+dimensions.
 By default the box is clipped to the coordinate domain: ranks and
 differences below ``COORD_LIMIT``.
 """
@@ -258,39 +262,12 @@ def representations(
     int >= 1 (not bool).  An empty range, of dimensions, differences or
     ranks, raises ``RangeError``.
 
-    The hits of rank <= 2 or of dimension 0 all come from ``_box_hits``,
-    in closed form, and only these answers cost their size: at v = 0 one
-    comparison decides the box, rank 2 holds S(v, d, 2) = v + d, and a
-    target of 1 also hits rank 1 of every dimension v >= 1 and d = 0 of
-    dimension 1.
-
-    Every other hit has v >= 1 and a rank >= 3, found by the rank checks.
-    For v >= 2 no rank past the least n with S(v, d_lo, n) >= target can
-    hit, d_lo the low end of the difference range; the rank search behind
-    ``rank_of`` finds that rank.  Up to it, the rank of every hit divides
-    v! * target.  For v <= 1 the d = 0 value stops growing with the rank,
-    so those dimensions admit arbitrarily large ranks and require an
-    explicit ``n_max``.  At v = 1 a target t > 1 hits exactly where n - 1
-    divides t - 1, with d = (t - 1) / (n - 1), so the difference range
-    bounds the ranks from both sides.  Each dimension v >= 1 checks each
-    of its ranks by one exact division when there are at most
-    ``_DIRECT_RANKS``, and otherwise only those the divisors allow: the
-    number (target or target - 1) is factored once per call, when the
-    first dimension needs it.  The checks cover d >= max(d_lo, 1) and stop
-    at the first rank where even that difference overshoots.  At v >= 2 a
-    d = 0 hit can sit only at the least rank where S(v, 0, n) reaches the
-    target, since S(v, 0, n) strictly increases in n; that one rank is
-    checked on its own.  When factoring would cost more than
-    ``_primes.FACTOR_BUDGET`` steps, a dimension walks its ranks instead
-    if the walk (about sqrt(2 * target) ranks at v = 2) fits the same
-    budget, and otherwise ``RangeError`` is raised.
-
-    The dimension loop stops at the first v where S(v, d_lo, 3) exceeds
-    the target: S never decreases in v, d or n from rank 1 on, and every
-    cell the loop checks has a rank of at least 3.  So a wide dimension
-    range costs only the dimensions that can still hit, about
-    sqrt(2 * target) of them whatever ``n_min`` is, and a box with no rank
-    >= 3 skips the loop.
+    Below dimension 2 the d = 0 value stops growing with the rank, so a box
+    with v <= 1 admits arbitrarily large ranks and needs an explicit
+    ``n_max``.  The target is factored within ``_primes.FACTOR_BUDGET``;
+    past it a dimension walks its ranks if the walk fits the same budget,
+    and otherwise ``RangeError`` is raised.  The module docstring says how
+    the hits are found.
     """
     target = _exact_int("target", target)
     if target < 1:

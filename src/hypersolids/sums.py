@@ -15,12 +15,14 @@ the dimension or the rank pinned m runs down two columns.  A slice query
 computes its O(s) values in one pass of maps, with the v = 0, rank 0 and
 rank 1 corners written out, and calls no Python function per cell.  The
 binomials come from one fixed table (:func:`_pascal`) of that triangle's
-rows c = 0..PASCAL_M + 1 and their columns, built once, on first use, by
-the adjacent-pair rule, and each shape has one reader.  :func:`_rows` gives
+rows c = 0..PASCAL_M + 1, Pascal's rows 0..127 with their 8,256 nonzero
+entries, and their columns, built once, on first use, by the adjacent-pair
+rule, and each shape has one reader.  :func:`_rows` gives
 rows 0..s, from the table up to s = 129 (s - 2 < :data:`PASCAL_M`) and
 built by ``kernel._triangle_rows`` above; a bare whole-simplex total and
 every listing of it read them.  A pinned difference reads its one row
-c = s - d from the table whenever c <= 129, at any total.
+c = s - d from the table whenever c <= 129, at any total, and by a
+``math.comb`` map above.
 :func:`_weighted_columns` gives C(m, a) + (s - 2 - m) * C(m, b) down two
 columns, from the table up to s = 129 and by ``math.comb`` maps above: a
 pinned dimension reads columns (v - 1, v), a pinned rank (n - 1, n - 2), as

@@ -18,8 +18,9 @@ talk about; the exhaustive sweeps live in :mod:`hypersolids.verify`.
 
 Rows are built by the first of those rules: rows 0-2 come from the closed
 form and every later row from adjacent-pair sums of the one above, so rows
-0..c cost O(c**2) big-int additions.  ``recurrence_sequence`` reads its
-diagonals off such rows, cut to the cells the diagonals reach.  The rule
+0..c cost O(c**2) big-int additions.  ``_diagonals`` is the one reader of
+diagonal totals: it builds such rows cut to the cells the diagonals reach,
+for ``recurrence_sequence`` and for ``triangle --diagonals``.  The rule
 itself is witnessed only by scalar closed-form values (the ``adjacency``
 verify cases and the adjacency test compare ``hypersolid`` against
 ``hypersolid``), never by a triangle built with it.
@@ -28,7 +29,6 @@ verify cases and the adjacency test compare ``hypersolid`` against
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable
 
 from .kernel import (
     RangeError, _check, _closed, _exact_int, _Record, _triangle_rows, binomial,
@@ -126,20 +126,17 @@ def recurrence_sequence(d: int, m: int, count: int) -> list[int]:
     d = _check("d", d)
     m = _check("m", m, 2)
     count = _check("count", count, 2)
-    k_max = count + 1
-    # Row c meets diagonal k = c + (m - 1) * v, so only its first
-    # (k_max - c) // (m - 1) + 1 positions reach a diagonal we need.
-    rows = _triangle_rows(d, k_max, width=lambda c: (k_max - c) // (m - 1) + 1)
-    return _diagonals(rows, m, k_max)
+    return _diagonals(d, m, count + 1)
 
 
-def _diagonals(rows: Iterable[tuple[int, ...]], m: int, k_max: int) -> list[int]:
-    """Slope-1/m diagonal totals for k = 2..k_max, read off triangle rows.
+def _diagonals(d: int, m: int, k_max: int) -> list[int]:
+    """Slope-1/m diagonal totals for k = 2..k_max of the difference-d triangle.
 
-    ``rows`` yields row c = 0, 1, ... with ``row[v] = S(v, d, c - v)``;
-    cell (c, v) lies on diagonal k = c + (m - 1) * v.  Rows may be cut
-    short, as long as every cell with k <= k_max is present.
+    Cell (c, v) lies on diagonal k = c + (m - 1) * v, so only the first
+    (k_max - c) // (m - 1) + 1 positions of row c reach a diagonal k <= k_max,
+    and the rows are built cut there.  The callers check the arguments.
     """
+    rows = _triangle_rows(d, k_max, width=lambda c: (k_max - c) // (m - 1) + 1)
     totals = [0] * (k_max + 1)
     for c, row in enumerate(rows):
         for k, value in zip(range(c, k_max + 1, m - 1), row):

@@ -7,11 +7,16 @@ check (lemmas at m_max 120, which has no CLI flag) is a callable.
 this interpreter (``inprocess``), the installed console script (``script``)
 or ``python -m hypersolids.cli`` (``module``), prints the command line of
 each failing row, and fails if this interpreter loaded a module outside the
-stdlib and the package.  ``tests/test_cli_checks.py`` runs each in-process."""
+stdlib and the package.  ``tests/test_cli_checks.py`` runs each in-process.
+
+In-process, ``SIGALRM`` stops a row at its timeout, so a hang fails only
+its row; where there is no ``SIGALRM``, the time is checked after the call.
+The handler runs between bytecodes, so a single long C call, such as one
+``math.comb``, is stopped only when it returns."""
 
 import sys
 STARTED = {name.partition(".")[0] for name in sys.modules}  # before the imports below
-import argparse, contextlib, io, re, shlex, subprocess, tempfile, time  # noqa: E401, E402
+import argparse, contextlib, io, re, shlex, signal, subprocess, tempfile, time  # noqa: E401, E402
 from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
 from typing import Callable, NamedTuple  # noqa: E402
@@ -58,6 +63,19 @@ def hits_of(target, count=None):
         return (len(rows) == count if count is not None else rows != []) and all(
             value == target == (v + d if n == 2 else S(v, d, n)) for v, d, n, value in rows)
     return judge
+
+
+def triangle_d3_m3(out):
+    """``triangle --d 3 --rows 300 --diagonals 3`` CSV: row c's cells add up
+    to its total, (d + 1)·2^(c − 2) or 0 below c = 2, and diagonal k = 2..300
+    is the sum of S(v, 3, k − 3v) over v, which is 3 at v = 0 and 0 at rank 0."""
+    lines = [line.split(",") for line in out.splitlines()]
+    totals = [0, 0, *(4 << j for j in range(299))]
+    rows = [line[:2] + [sum(map(int, line[2:-1])), int(line[-1])] for line in lines[:301]]
+    diagonals = [3 + sum(S(v, 3, k - 3 * v) for v in range(1, (k - 1) // 3 + 1))
+                 for k in range(2, 301)]
+    return rows == [["row", str(c), t, t] for c, t in enumerate(totals)] and lines[301:] == [
+        ["diagonal", str(k), str(x)] for k, x in enumerate(diagonals, 2)]
 
 
 def lists_every_command(out):
@@ -132,12 +150,23 @@ ROWS = [
     Row("--help", lists_every_command),
     Row("verify --help", None),
     Row("triangle --d 2 --rows 12 --diagonals 4", None),
+    Row("triangle --d 3 --rows 300 --diagonals 3 --format csv", triangle_d3_m3, timeout=10),
     Row("sums --s 12 --list", None),
     Row("verify --suite all --format json", None),
     Row("represent --value 1" + "0" * 4400, None),
     Row("represent --value 120 --format csv --output {tmp}/hits.csv", ""),
 ]
 LAUNCH = {"script": ["hypersolids"], "module": [sys.executable, "-m", "hypersolids.cli"]}
+
+
+class RowTimeout(AssertionError):
+    """An in-process row ran past its timeout.  It fails the row wherever it
+    is raised, and ``cli.main``, which reports a ValueError or an OSError as
+    a usage error, does not catch it."""
+
+
+def expire(signum, frame):
+    raise RowTimeout
 
 
 def run(row, mode="inprocess"):
@@ -149,11 +178,21 @@ def run(row, mode="inprocess"):
         start = time.perf_counter()
         if lone or mode == "inprocess":
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
+            alarm = hasattr(signal, "SIGALRM")  # if not, the timeout is checked below
+            if alarm:
+                previous = signal.signal(signal.SIGALRM, expire)
+                signal.setitimer(signal.ITIMER_REAL, row.timeout)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = row.argv() if lone else cli.main(argv)
-                except SystemExit as exc:  # argparse's --help and usage errors
-                    code = exc.code
+            except SystemExit as exc:  # argparse's --help and usage errors
+                code = exc.code
+            except RowTimeout:
+                raise RowTimeout(f"{shlex.join(command)}\n  stopped at {row.timeout} s") from None
+            finally:
+                if alarm:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                    signal.signal(signal.SIGALRM, previous)
             out, err = out.getvalue(), err.getvalue()
         else:
             try:

@@ -345,6 +345,30 @@ def test_triangle_diagonals_match_scalar_diagonal_sums(run_cli, m):
     assert out.splitlines()[-1] == f"diagonals m={m}: {expected}"
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("d", [0, 1, 7])
+def test_triangle_diagonals_match_scalar_diagonal_sums_at_every_cut(d, fmt):
+    # rows 0-2 and every M > rows cut each row to one cell; the 861 calls
+    # share one parser, which main would build for each
+    parser = build_parser("triangle")
+    scalar = {m: [diagonal_sum(d, m, k) for k in range(2, 41)] for m in range(2, 43)}
+    for rows in range(41):
+        for m in range(2, rows + 3):
+            args = parser.parse_args(["triangle", "--d", str(d), "--rows", str(rows),
+                                      "--diagonals", str(m), "--format", fmt])
+            out = cli._render(fmt, *args.func(args))
+            expected = scalar[m][: max(rows - 1, 0)]
+            if fmt == "text":
+                line = f"diagonals m={m}: " + " ".join(map(str, expected))
+                assert out.splitlines()[-1] == line, (rows, m)
+            elif fmt == "csv":
+                tail = [f"diagonal,{k},{x}" for k, x in enumerate(expected, 2)]
+                assert out.splitlines()[rows + 1:] == tail, (rows, m)
+            else:
+                diagonals = {"m": m, "first_index": 2, "values": list(map(str, expected))}
+                assert json.loads(out)["result"]["diagonal_sums"] == diagonals, (rows, m)
+
+
 def test_triangle_rejects_bad_diagonal_slope(run_cli):
     code, _, err = run_cli("triangle", "--d", "1", "--rows", "5", "--diagonals", "1")
     assert code == 2

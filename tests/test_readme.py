@@ -72,3 +72,10 @@ def test_the_readme_quotes_no_timing():
     # timings belong to one host: CHANGES.md and the BENCH_*.json files keep them
     timings = re.findall(r"\d\s*(?:µs|ms|s)\b", README)
     assert timings == []
+
+
+def test_the_readme_names_no_private_attribute():
+    # how a layer works, and the private names it works with, belong in its
+    # module docstring; the README names only what a caller can rely on
+    private = re.findall(r"[\w.]*\w\._(?!_)\w+", README)
+    assert private == []

@@ -15,8 +15,8 @@ from itertools import accumulate, product
 
 import pytest
 
-from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, Triangle, run_suite, run_suites,
-                         compile_row, kernel, sums, verify)
+from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, build_triangle, run_suite,
+                         run_suites, compile_row, kernel, sums, verify)
 from hypersolids.kernel import DEFAULT_BOUNDS
 from hypersolids.verify import SUITES, VerifyOutcome, _run_cases
 
@@ -106,7 +106,8 @@ def naive_corollary_cases(b):
     case evaluates what it reads itself.  It reads through the names the
     shipped sweep uses, so a value patched there reaches this judge too; each
     row compilation is ``compile_row``, which sums its own closed-form terms,
-    where the sweep reads the prefixes of one running sum."""
+    where the sweep reads the prefixes of one running sum, and each row total
+    sums a row of the public ``build_triangle``."""
     for d in range(b.d_max + 1):
         for c in range(3, b.c_max + 1):
             for v in range(1, c):
@@ -120,7 +121,7 @@ def naive_corollary_cases(b):
             for v in range(b.v_max + 1):
                 yield (f"row-compilation d={d} n={n} v={v}",
                        verify.hypersolid(v, d, n + 1), compile_row(d, n, v))
-        triangle = verify.build_triangle(d, b.c_max)
+        triangle = build_triangle(d, b.c_max)
         for c in range(b.c_max + 1):
             yield f"row-total d={d} c={c}", sum(triangle.row(c)), verify.row_sum(d, c)
             if c >= 3:
@@ -520,18 +521,14 @@ def test_corollary_evaluations_grow_linearly_in_the_dimension_bound(closed_calls
 
 def test_a_wrong_triangle_cell_fails_only_its_row_total(monkeypatch):
     # the adjacency cases judge the rule triangles are built by, so they read
-    # scalar closed-form values and never a triangle
-    honest = verify.build_triangle
+    # scalar closed-form values and never a triangle row
+    honest = verify._triangle_rows
 
-    def doctored(d, c_max):
-        triangle = honest(d, c_max)
-        if d != 1:
-            return triangle
-        rows = [list(row) for row in triangle.rows]
-        rows[6][2] += 1
-        return Triangle(d, c_max, tuple(map(tuple, rows)))
+    def doctored(d, c_max, width=None):
+        for c, row in enumerate(honest(d, c_max, width)):
+            yield row[:2] + (row[2] + 1,) + row[3:] if (d, c) == (1, 6) else row
 
-    monkeypatch.setattr(verify, "build_triangle", doctored)
+    monkeypatch.setattr(verify, "_triangle_rows", doctored)
     outcome = run_suite("corollaries", bounds=SMALL)
     assert [key for key, _, _ in outcome.failures] == ["row-total d=1 c=6"]
 
