@@ -1,14 +1,14 @@
 """``triangle``: the fixed-difference triangle with its row sums.
 
 The rows come one at a time from ``kernel._triangle_rows`` and each is
-rendered as it is made; ``--diagonals`` reads its totals through
-``triangle._diagonals``, which builds its own rows cut to the diagonals.
+rendered as it is made; ``--diagonals`` passes them through
+``triangle._diagonals``, which adds up their diagonals on that one pass.
 """
 
 from __future__ import annotations
 
 import argparse
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from ..kernel import _check, _triangle_rows
 from . import Result, _digits, _integer
@@ -30,8 +30,14 @@ def run(args: argparse.Namespace) -> Result:
     # the names and messages of build_triangle's checks
     d = _check("d", args.d)
     c_max = _check("c_max", args.rows)
-    diag = None if m is None else _diagonals(d, m, c_max)
+    # --diagonals adds up the printed rows as they pass, so its totals are
+    # read only after the last row: after "rows" in JSON, and in CSV and
+    # text by generators chained after the rows
+    totals = [0] * (c_max + 1)
+    diag = islice(totals, 2, None)
     rows = _triangle_rows(d, c_max)
+    if m is not None:
+        rows = _diagonals(rows, m, totals)
     sums = map(row_sum, repeat(d), range(c_max + 1))
     query = {"command": "triangle", "d": args.d, "rows": args.rows, "diagonals": m}
 
@@ -40,16 +46,16 @@ def run(args: argparse.Namespace) -> Result:
             "rows": [[_digits(x) for x in row] for row in rows],
             "row_sums": list(map(_digits, sums)),
             "diagonal_sums": (
-                {"m": m, "first_index": 2, "values": [_digits(x) for x in diag]}
-                if diag is not None
+                {"m": m, "first_index": 2, "values": list(map(_digits, diag))}
+                if m is not None
                 else None
             ),
         }
         return query, True, result
     if args.format == "csv":
-        tail = [] if diag is None else [["diagonal", k, x] for k, x in enumerate(diag, 2)]
+        tail = () if m is None else (["diagonal", k, x] for k, x in enumerate(diag, 2))
         fields = (["row", c, *row, total] for c, (row, total) in enumerate(zip(rows, sums)))
         return query, True, chain(fields, tail)
-    tail = [] if diag is None else [f"diagonals m={m}: " + " ".join(map(_digits, diag))]
+    tail = () if m is None else (f"diagonals m={m}: " + " ".join(map(_digits, x)) for x in [diag])
     lines = (" ".join(map(_digits, row)) + f" | {_digits(total)}" for row, total in zip(rows, sums))
     return query, True, chain(lines, tail)

@@ -295,10 +295,12 @@ def _triangle_rows(
 ) -> Iterator[tuple[int, ...]]:
     """Yield rows 0..c_max of the difference-d triangle, ``row[v] = S(v, d, c - v)``.
 
-    Rows 0-2 come from the closed form.  From row 3 on each row is built by
-    the adjacent-pair rule: ``d`` (the dimension-0 value), then the sums of
-    adjacent pairs of the row above, then the rank-0 zero.  That is one
-    big-int addition per cell instead of two binomials.
+    Rows 0-2 are the seeds (0), (0, 0) and (d, 1, 0), the values of S at
+    v + n <= 2.  From row 3 on each row is built by the adjacent-pair rule:
+    ``d`` (the dimension-0 value), then the sums of adjacent pairs of the
+    row above, then the rank-0 zero.  That is one big-int addition per cell
+    instead of two binomials, and no row comes from the closed form, which
+    the rows' readers judge them by.
 
     ``width(c)``, when given, keeps only the first ``width(c)`` positions of
     row c.  It must be at least 1 and must not grow with c, so that every
@@ -308,7 +310,7 @@ def _triangle_rows(
     for c in range(c_max + 1):
         w = c + 1 if width is None else min(c + 1, width(c))
         if c < 3:
-            row = tuple(_closed(v, d, c - v) for v in range(w))
+            row = ((0,), (0, 0), (d, 1, 0))[c][:w]
         elif w > c:
             row = (d, *map(add, prev[1:], prev), 0)
         else:

@@ -16,19 +16,23 @@ kind of regularities Pascal's does:
 The helpers here build the triangle and expose the quantities those rules
 talk about; the exhaustive sweeps live in :mod:`hypersolids.verify`.
 
-Rows are built by the first of those rules: rows 0-2 come from the closed
-form and every later row from adjacent-pair sums of the one above, so rows
-0..c cost O(c**2) big-int additions.  ``_diagonals`` is the one reader of
-diagonal totals: it builds such rows cut to the cells the diagonals reach,
-for ``recurrence_sequence`` and for ``triangle --diagonals``.  The rule
-itself is witnessed only by scalar closed-form values (the ``adjacency``
-verify cases and the adjacency test compare ``hypersolid`` against
-``hypersolid``), never by a triangle built with it.
+Rows are built by the first of those rules: rows 0-2 are the seeds (0),
+(0, 0) and (d, 1, 0), and every later row comes from adjacent-pair sums of
+the one above, so rows 0..c cost O(c**2) big-int additions and no
+closed-form call.  ``_diagonals`` is the one reader of diagonal totals: it
+adds up the rows it passes on, those ``recurrence_sequence`` builds cut to
+the cells its diagonals reach and those ``triangle --diagonals`` prints,
+in the one pass that prints them.  The rule itself is witnessed only by
+scalar closed-form values (the ``adjacency`` verify cases and the
+adjacency test compare ``hypersolid`` against ``hypersolid``), never by a
+triangle built with it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import repeat
+from typing import Iterable, Iterator
 
 from .kernel import (
     RangeError, _check, _closed, _exact_int, _Record, _triangle_rows, binomial,
@@ -126,22 +130,25 @@ def recurrence_sequence(d: int, m: int, count: int) -> list[int]:
     d = _check("d", d)
     m = _check("m", m, 2)
     count = _check("count", count, 2)
-    return _diagonals(d, m, count + 1)
-
-
-def _diagonals(d: int, m: int, k_max: int) -> list[int]:
-    """Slope-1/m diagonal totals for k = 2..k_max of the difference-d triangle.
-
-    Cell (c, v) lies on diagonal k = c + (m - 1) * v, so only the first
-    (k_max - c) // (m - 1) + 1 positions of row c reach a diagonal k <= k_max,
-    and the rows are built cut there.  The callers check the arguments.
-    """
-    rows = _triangle_rows(d, k_max, width=lambda c: (k_max - c) // (m - 1) + 1)
-    totals = [0] * (k_max + 1)
-    for c, row in enumerate(rows):
-        for k, value in zip(range(c, k_max + 1, m - 1), row):
-            totals[k] += value
+    # diagonals k = 2..count + 1; cell (c, v) lies on k = c + (m - 1) * v, so
+    # only the first (count + 1 - c) // (m - 1) + 1 positions of row c count
+    totals = [0] * (count + 2)
+    rows = _triangle_rows(d, count + 1, width=lambda c: (count + 1 - c) // (m - 1) + 1)
+    deque(_diagonals(rows, m, totals), 0)
     return totals[2:]
+
+
+def _diagonals(rows: Iterable[tuple], m: int, totals: list[int]) -> Iterator[tuple]:
+    """Yield ``rows``, rows 0, 1, ... of a triangle, each after adding its
+    cells into ``totals[k]``, the slope-1/m diagonal k = c + (m - 1) * v.
+
+    Cells on a diagonal past ``len(totals) - 1`` are skipped, so the rows
+    may be whole or cut.  ``totals`` is complete once the last row is read.
+    """
+    for c, row in enumerate(rows):
+        for k, value in zip(range(c, len(totals), m - 1), row):
+            totals[k] += value
+        yield row
 
 
 def pascal_entry_check(c: int, v: int) -> bool:

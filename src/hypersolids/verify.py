@@ -12,9 +12,9 @@ suite evaluates each S(v, d, n) of its grid once; the corollaries suite
 evaluates its values once per difference and reads the row compilations of
 one rank level, S(0, d, n) + ... + S(v, d, n) for v = 0..v_max, as the
 prefixes of one pass of scalar closed-form terms (at c_max 34, v_max 12,
-n_max 18 that is 18,175 closed-form evaluations, 385 ``row_sum`` and 957
+n_max 18 that is 17,413 closed-form evaluations, 385 ``row_sum`` and 957
 ``diagonal_sum`` calls, where each case evaluating its own values took
-60,162, 7,249 and 2,574); and the lemmas suite reads each literal sum that
+59,400, 7,249 and 2,574); and the lemmas suite reads each literal sum that
 extends a shorter one, the weighted stick's double sum included, from one
 running sum, so such a lemma costs O(m_max**2) terms, not O(m_max**3).
 ``row_power``, whose terms all change with its parameter, and the four
@@ -37,11 +37,11 @@ from itertools import accumulate, product, repeat
 from typing import Callable, Iterable, Iterator
 
 from .kernel import (
-    DEFAULT_BOUNDS, SUITES, _check, _closed, _Record, _summation_ranks, _triangle_rows, d_gnomon,
-    hypersolid, n_gnomon, v_gnomon,
+    DEFAULT_BOUNDS, SUITES, _check, _closed, _Record, _summation_ranks, _triangle_rows, binomial,
+    d_gnomon, hypersolid, n_gnomon, v_gnomon,
 )
 from .sums import LEMMAS, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
-from .triangle import diagonal_sum, pascal_entry_check, recurrence_sequence, row_sum
+from .triangle import diagonal_sum, recurrence_sequence, row_sum
 
 
 class GridBounds(_Record):
@@ -159,7 +159,8 @@ def _corollary_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
     # difference and read by every case that names it.  The values are
     # scalar hypersolid calls, never triangle rows: triangles are built by
     # the adjacency rule these cases judge.  Only the row-total cases sum
-    # triangle rows, and the closed-form row_sum judges them.
+    # triangle rows, which the closed-form row_sum judges, and the
+    # pascal-reduction cases read the d = 0 rows, which math.comb judges.
     for d in range(b.d_max + 1):
         # closed[v][n] = S(v, d, n) for what adjacency (n <= c_max - v) and
         # the column and row compilations (v <= v_max, n <= n_max + 1) read
@@ -198,9 +199,9 @@ def _corollary_cases(b: GridBounds) -> Iterator[tuple[tuple, object, object]]:
             a = [0, 0, *(diagonal_sum(d, m, k) for k in range(2, 31))]  # a[k], k >= 2
             for k in range(m + 2, 31):
                 yield ("diagonal-recurrence d={} m={} k={}", d, m, k), a[k], a[k - 1] + a[k - m]
-    for c in range(b.c_max + 1):
-        for v in range(c + 1):
-            yield ("pascal-reduction c={} v={}", c, v), True, pascal_entry_check(c, v)
+    for c, row in enumerate(_triangle_rows(0, b.c_max)):
+        for v, entry in enumerate(row):
+            yield ("pascal-reduction c={} v={}", c, v), binomial(c - 2, v - 1), entry
 
 
 # -------------------------------------------------------------- theorems

@@ -78,6 +78,17 @@ def triangle_d3_m3(out):
         ["diagonal", str(k), str(x)] for k, x in enumerate(diagonals, 2)]
 
 
+def triangle_d3_m3_text(out):
+    """The same call in text: a line per row, its cells, " | " and its total,
+    then the diagonals after "diagonals m=3: ", judged as its CSV twin."""
+    *lines, last = out.splitlines()
+    head, _, values = last.partition(": ")
+    rows = [f"row,{c},{line.replace(' | ', ',').replace(' ', ',')}"
+            for c, line in enumerate(lines)]
+    diagonals = [f"diagonal,{k},{x}" for k, x in enumerate(values.split(" "), 2)]
+    return head == "diagonals m=3" and triangle_d3_m3(csv(*rows, *diagonals))
+
+
 def lists_every_command(out):
     return all(re.search(rf"^ +{c} +[a-z]", out, re.M)
                for c in ("eval", "table", "triangle", "sums", "verify", "represent"))
@@ -151,6 +162,7 @@ ROWS = [
     Row("verify --help", None),
     Row("triangle --d 2 --rows 12 --diagonals 4", None),
     Row("triangle --d 3 --rows 300 --diagonals 3 --format csv", triangle_d3_m3, timeout=10),
+    Row("triangle --d 3 --rows 300 --diagonals 3", triangle_d3_m3_text, timeout=10),
     Row("sums --s 12 --list", None),
     Row("verify --suite all --format json", None),
     Row("represent --value 1" + "0" * 4400, None),

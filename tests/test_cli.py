@@ -18,15 +18,16 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from itertools import repeat
+from itertools import islice, product, repeat
 from operator import add
 from pathlib import Path
 
 import pytest
 
 import hypersolids
-from hypersolids import GridBounds, cli, diagonal_sum, hypersolid, kernel, verify
+from hypersolids import GridBounds, cli, diagonal_sum, hypersolid, kernel, triangle, verify
 from hypersolids.cli import _digits, _integer, build_parser
+from hypersolids.cli import _triangle as cli_triangle
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -348,15 +349,15 @@ def test_triangle_diagonals_match_scalar_diagonal_sums(run_cli, m):
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("d", [0, 1, 7])
 def test_triangle_diagonals_match_scalar_diagonal_sums_at_every_cut(d, fmt):
-    # rows 0-2 and every M > rows cut each row to one cell; the 861 calls
-    # share one parser, which main would build for each
+    # rows 0-2 and every M > rows reach one cell per row of each diagonal;
+    # the 861 calls share one parser, which main would build for each
     parser = build_parser("triangle")
     scalar = {m: [diagonal_sum(d, m, k) for k in range(2, 41)] for m in range(2, 43)}
     for rows in range(41):
         for m in range(2, rows + 3):
             args = parser.parse_args(["triangle", "--d", str(d), "--rows", str(rows),
                                       "--diagonals", str(m), "--format", fmt])
-            out = cli._render(fmt, *args.func(args))
+            out = "".join(cli._render(fmt, *args.func(args)))
             expected = scalar[m][: max(rows - 1, 0)]
             if fmt == "text":
                 line = f"diagonals m={m}: " + " ".join(map(str, expected))
@@ -382,6 +383,24 @@ def test_triangle_rejects_diagonal_slope_outside_the_coordinate_domain(run_cli):
     code, out, _ = run_cli("triangle", "--d", "1", "--rows", "5", "--diagonals", str(2**32 - 1))
     assert code == 0
     assert out.splitlines()[-1] == f"diagonals m={2**32 - 1}: 1 1 1 1"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_triangle_diagonals_add_up_the_printed_rows(run_cli, monkeypatch, fmt):
+    # one row pass makes both the printed rows and the diagonal totals
+    calls = []
+    honest = kernel._triangle_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    for module in (kernel, triangle, cli_triangle):
+        monkeypatch.setattr(module, "_triangle_rows", counted)
+    code, out, _ = run_cli("triangle", "--d", "2", "--rows", "10", "--diagonals", "2",
+                           "--format", fmt)
+    assert (code, calls) == (0, [(2, 10)])
+    assert "89" in out.splitlines()[-1]  # the last diagonal total, a(10)
 
 
 # ------------------------------------------------------------------ sums
@@ -926,3 +945,110 @@ def test_json_documents_share_the_envelope(run_cli):
         assert code == 0
         doc = json.loads(out)
         assert set(doc) == {"query", "result", "consistent"}
+
+
+# ------------------------------------------------------------- the writer
+
+
+def whole_output(argv):
+    """(exit code, stdout) of one call as the CLI wrote it while it joined
+    the whole output into one string before writing it."""
+    args = build_parser(argv[0]).parse_args(argv)
+    try:
+        query, consistent, payload = args.func(args)
+    except ValueError:
+        return 2, ""
+    if args.format == "json":
+        text = json.dumps({"query": query, "result": payload, "consistent": consistent}) + "\n"
+    elif args.format == "csv":
+        text = "".join(",".join(map(_digits, row)) + "\n" for row in payload)
+    else:
+        text = "".join(line + "\n" for line in payload)
+    return 0 if consistent else 1, text
+
+
+# small arguments of every command, with outputs on both sides of one batch
+# of lines (triangle rows 15 and 16) and calls that exit 1 and 2
+WRITER_GRID = {
+    "eval": [f"eval --v {v} --d {d} --n {n} --method {method}"
+             for v, d, n, method in product((0, 2, 7), (0, 5), (1, 3), ("closed", "both"))],
+    "table": [f"table --v {v} --dmax {dmax} --nmax {nmax}{gnomons}"
+              for v, dmax, nmax, gnomons in product((2, 4), (1, 3), (1, 5), ("", " --gnomons"))],
+    "triangle": [f"triangle --d {d} --rows {rows}{m}"
+                 for d, rows, m in product((0, 3), (0, 1, 2, 15, 16, 40),
+                                           ("", " --diagonals 2", " --diagonals 5"))],
+    "sums": [f"sums --s {s}{fix}{listed}"
+             for s, fix, listed in product((0, 3, 8, 12), ("", " --fix v=1", " --fix d=11",
+                                                           " --fix n=2"), ("", " --list"))],
+    "verify": [f"verify --suite {suite} --vmax 2 --dmax 2 --nmax 3 --cmax 5 --smax 4"
+               for suite in ("oracle", "corollaries", "all")],
+    "represent": [f"represent --value {value}{box}"
+                  for value, box in product((1, 6, 120), ("", " --vmax 4 --dmax 45 --nmax 20"))],
+}
+
+
+@pytest.mark.parametrize("command", list(WRITER_GRID))
+def test_every_call_writes_the_bytes_of_the_whole_string_writer(run_cli, tmp_path, command):
+    path = tmp_path / "out"
+    codes = set()
+    for argv, fmt in product(WRITER_GRID[command], ("text", "csv", "json")):
+        call = [*argv.split(), "--format", fmt]
+        code, text = whole_output(call)
+        codes.add(code)
+        out = run_cli(*call)
+        assert out[:2] == (code, text) and (out[2] == "") == (code != 2), call
+        path.write_text("old\n")
+        assert run_cli(*call, "--output", str(path))[:2] == (code, ""), call
+        assert path.read_bytes().decode() == (text if code != 2 else "old\n"), call
+        assert list(tmp_path.iterdir()) == [path]
+    assert codes == ({0, 1, 2} if command == "sums" else {0})
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_a_long_triangle_is_written_without_its_whole_output_in_memory(fmt):
+    # the 401 rows print as about 4.7 MB of digits; the writer holds a batch
+    # of lines at a time, never the whole output as one string
+    argv = ["triangle", "--d", "1", "--rows", "400", "--format", fmt]
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        cli.main(argv[:4] + ["3"])  # the command's modules are imported before tracing
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4_000_000
+
+
+def test_an_interrupted_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    honest = cli_triangle._triangle_rows
+
+    def interrupted(d, c_max):
+        yield from islice(honest(d, c_max), 100)  # several batches are written first
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_triangle, "_triangle_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["triangle", "--d", "1", "--rows", "200", "--format", "csv",
+                  "--output", str(path)])
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --v -1 --d 0 --n 3",
+    "table --v 1 --dmax 2 --nmax 2",
+    "triangle --d 1 --rows 5 --diagonals 1",
+    "sums --s 6 --fix v=9",
+    "verify --suite oracle --jobs 0",
+    "represent --value 0",
+])
+def test_a_malformed_call_writes_nothing(run_cli, tmp_path, argv):
+    path = tmp_path / "out"
+    for output in ([], ["--output", str(path)]):
+        code, out, err = run_cli(*argv.split(), *output)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []

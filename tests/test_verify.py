@@ -106,8 +106,9 @@ def naive_corollary_cases(b):
     case evaluates what it reads itself.  It reads through the names the
     shipped sweep uses, so a value patched there reaches this judge too; each
     row compilation is ``compile_row``, which sums its own closed-form terms,
-    where the sweep reads the prefixes of one running sum, and each row total
-    sums a row of the public ``build_triangle``."""
+    where the sweep reads the prefixes of one running sum, each row total
+    sums a row of the public ``build_triangle``, and each Pascal entry is
+    read from ``build_triangle(0, c_max)``."""
     for d in range(b.d_max + 1):
         for c in range(3, b.c_max + 1):
             for v in range(1, c):
@@ -138,9 +139,11 @@ def naive_corollary_cases(b):
             for k in range(m + 2, 31):
                 yield (f"diagonal-recurrence d={d} m={m} k={k}", verify.diagonal_sum(d, m, k),
                        verify.diagonal_sum(d, m, k - 1) + verify.diagonal_sum(d, m, k - m))
+    pascal = build_triangle(0, b.c_max)
     for c in range(b.c_max + 1):
         for v in range(c + 1):
-            yield f"pascal-reduction c={c} v={v}", True, verify.pascal_entry_check(c, v)
+            yield (f"pascal-reduction c={c} v={v}", verify.binomial(c - 2, v - 1),
+                   pascal.entry(c, v))
 
 
 def test_oracle_counts_cases_exactly():
@@ -503,17 +506,17 @@ def test_a_wrong_row_compilation_term_fails_the_compilations_that_add_it(monkeyp
 
 def test_corollary_evaluations_grow_linearly_in_the_dimension_bound(closed_calls):
     # per difference: the shared table's scalar values, one running pass of
-    # v_max + 1 terms per rank level n = 2..n_max, rows 0-2 of the triangle
-    # and of the diagonal rows, and the diagonal totals; then the Pascal
-    # checks.  Summing each row compilation alone would cost
-    # (v_max + 1)(v_max + 2)/2 terms per rank level, 22,072 and 50,540
+    # v_max + 1 terms per rank level n = 2..n_max, and the diagonal totals.
+    # Triangle rows, the Pascal cases' included, are seeded and added up,
+    # with no evaluation.  Summing each row compilation alone would cost
+    # (v_max + 1)(v_max + 2)/2 terms per rank level, 21,615 and 50,083
     # evaluations at these bounds.
     counts = []
     for v_max in (12, 24):
         closed_calls.clear()
         assert run_suite("corollaries", bounds=GridBounds(v_max=v_max)).ok
         counts.append(len(closed_calls))
-    assert counts == [12634, 14240]
+    assert counts == [12177, 13783]
     # 12 more terms in each of the 11 * 11 passes, and one more dimension,
     # v = 24, of 14 values per difference in the shared table
     assert counts[1] - counts[0] == 11 * (11 * 12 + 14)
@@ -531,6 +534,21 @@ def test_a_wrong_triangle_cell_fails_only_its_row_total(monkeypatch):
     monkeypatch.setattr(verify, "_triangle_rows", doctored)
     outcome = run_suite("corollaries", bounds=SMALL)
     assert [key for key, _, _ in outcome.failures] == ["row-total d=1 c=6"]
+
+
+def test_a_wrong_pascal_cell_fails_its_pascal_reduction_and_its_row_total(monkeypatch):
+    # the pascal-reduction cases read the d = 0 triangle's rows and judge
+    # them by math.comb, so they are not a closed form compared with itself
+    honest = verify._triangle_rows
+
+    def doctored(d, c_max, width=None):
+        for c, row in enumerate(honest(d, c_max, width)):
+            yield row[:2] + (row[2] + 1,) + row[3:] if (d, c) == (0, 6) else row
+
+    monkeypatch.setattr(verify, "_triangle_rows", doctored)
+    outcome = run_suite("corollaries", bounds=SMALL)
+    assert outcome.failures == (("pascal-reduction c=6 v=2", "4", "5"),
+                                ("row-total d=0 c=6", "17", "16"))
 
 
 @pytest.mark.parametrize("m_max", [0, 1, 2, 3, 8, 30, 45, 60])
