@@ -5,12 +5,15 @@ Subcommands: eval, table, triangle, sums, verify, represent.  Each accepts
 ``(query, consistent, payload)``, where the payload is the JSON result, the
 CSV rows or the text lines for the chosen format; :func:`_render` frames it
 and :func:`_emit` writes it as it is made.  CSV and text go out ``_BATCH``
-lines at a time, so the whole output is never one string; JSON is one
-piece.  A command makes every check before it returns, so a call that
-fails one writes nothing, and ``--output`` gets the whole output or keeps
-its old content.  Exit codes: 0 when ``consistent`` is true, 1
-when it is false (a verification or consistency check failed), 2 on
-malformed usage or an ``--output`` path that cannot be written.
+lines at a time, so the whole output is never one string.  JSON goes out
+piece by piece (:func:`_json`): a dict key by key and a listing that a
+command hands over as an iterator ``_BATCH`` items at a time, in the bytes
+``json.dumps`` gives the whole document.  A command makes every check
+before it returns, so a call that fails one writes nothing, and
+``--output`` gets the whole output or keeps its old content.  Exit codes:
+0 when ``consistent`` is true, 1 when it is false (a verification or
+consistency check failed), 2 on malformed usage or an ``--output`` path
+that cannot be written.
 
 CSV output is deterministic: comma-separated fields, every row newline
 terminated, no quoting (fields are decimal digits or fixed labels).  JSON
@@ -33,11 +36,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:  # the front end needs no layer; each command imports its own
-    from ..kernel import IndexTriple
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, islice
 
 Result = tuple[dict, bool, object]  # (query, consistent, payload for args.format)
 # each command's one-line help, in the order --help lists them; the command
@@ -100,13 +100,39 @@ _integer.__name__ = "int"
 _BATCH = 16
 
 
+def _json(value: object, dumps: Callable[[object], str]) -> Iterator[str]:
+    """``dumps(value)`` in pieces, none of them empty: a dict key by key and
+    an iterator ``_BATCH`` items at a time, each batch dumped as one list;
+    anything else is dumped whole.  With ``json.dumps``'s default separators
+    the pieces join to the bytes ``json.dumps`` gives once every iterator is
+    a list."""
+    if isinstance(value, dict):
+        sep = "{"
+        for key, item in value.items():
+            yield f"{sep}{dumps(key)}: "
+            yield from _json(item, dumps)
+            sep = ", "
+        yield "{}" if sep == "{" else "}"
+    elif isinstance(value, Iterator):
+        sep = "["
+        # a batch dumps as "[...]", and only the exhausted iterator as "[]"
+        for batch in iter(lambda: dumps(list(islice(value, _BATCH)))[1:-1], ""):
+            yield sep + batch
+            sep = ", "
+        yield "[]" if sep == "[" else "]"
+    else:
+        yield dumps(value)
+
+
 def _render(fmt: str, query: dict, consistent: bool, payload: object) -> Iterable[str]:
-    """The output as pieces to write: JSON as one, CSV rows and text lines
-    ``_BATCH`` at a time, each batch made when the writer asks for it."""
+    """The output as pieces to write, each made when the writer asks for it:
+    CSV rows and text lines ``_BATCH`` at a time, and the JSON envelope
+    piece by piece, its listings ``_BATCH`` items at a time."""
     if fmt == "json":
         import json
 
-        return (json.dumps({"query": query, "result": payload, "consistent": consistent}) + "\n",)
+        envelope = {"query": query, "result": payload, "consistent": consistent}
+        return chain(_json(envelope, json.dumps), ("\n",))
     if fmt == "csv":
         lines = (",".join(map(_digits, row)) + "\n" for row in payload)
     else:
@@ -136,21 +162,22 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
         if not device:
             os.replace(path, target)
     except OSError as exc:
-        if not device:  # name the path given, not the temporary file
-            exc = OSError(exc.errno, exc.strerror, output)
-        raise exc from None
+        # name the path given, not the temporary file, also where a write
+        # into a device fails with no file name (say, /dev/full when full)
+        raise OSError(exc.errno, exc.strerror, output) from None
     finally:
         if not device and os.path.exists(path):  # the write failed or was interrupted
             os.remove(path)
 
 
-def _cells(fmt: str, pairs: Iterable[tuple[IndexTriple, int]]) -> list:
-    """Listed (coordinates, value) pairs as JSON objects, CSV fields or text lines."""
+def _cells(fmt: str, cells: Iterable[tuple[int, int, int, int]]) -> Iterator:
+    """Listed cells ``(v, d, n, value)`` as JSON objects, CSV fields or text
+    lines, each made as the writer reads it."""
     if fmt == "json":
-        return [{"v": t.v, "d": t.d, "n": t.n, "value": _digits(value)} for t, value in pairs]
+        return ({"v": v, "d": d, "n": n, "value": _digits(value)} for v, d, n, value in cells)
     if fmt == "csv":
-        return [[t.v, t.d, t.n, value] for t, value in pairs]
-    return [f"S({t.v},{t.d},{t.n}) = {_digits(value)}" for t, value in pairs]
+        return iter(cells)
+    return (f"S({v},{d},{n}) = {_digits(value)}" for v, d, n, value in cells)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

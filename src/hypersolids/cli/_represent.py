@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+from itertools import chain
 
 from ..kernel import COORD_LIMIT
 from . import Result, _cells, _digits, _integer
@@ -45,9 +46,9 @@ def run(args: argparse.Namespace) -> Result:
              "vmin": args.vmin, "vmax": args.vmax,
              "dmin": args.dmin, "dmax": args.dmax,
              "nmin": args.nmin, "nmax": args.nmax}
-    cells = _cells(args.format, hits)
+    cells = _cells(args.format, (t + (value,) for t, value in hits))
     if args.format == "json":
         return query, True, {"hits": cells}
     if args.format == "csv":
-        return query, True, [["v", "d", "n", "value"], *cells]
-    return query, True, cells or ["no representations in the box"]
+        return query, True, chain([("v", "d", "n", "value")], cells)
+    return query, True, cells if hits else ["no representations in the box"]

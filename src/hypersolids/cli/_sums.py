@@ -1,8 +1,19 @@
-"""``sums``: a fixed-total sum, closed form against enumeration."""
+"""``sums``: a fixed-total sum, closed form against enumeration.
+
+A call makes two deterministic passes over its query.  The first is the
+bare report, the tally of the cells' sum and nonzero count, and its verdict
+sets the exit code and the ``consistent`` field: the verdict judges the
+tally.  With ``--list`` the second pass lists the nonzero cells from
+``sums._listing`` as they are written, after the verdict in text and CSV
+and inside ``result`` in JSON, so no listing is held whole.  Every check of
+the query is made by the first pass, so a call that fails one writes
+nothing.
+"""
 
 from __future__ import annotations
 
 import argparse
+from itertools import chain
 
 from . import Result, _cells, _digits, _integer
 
@@ -29,20 +40,21 @@ def _parse_fix(text: str | None) -> tuple[str, int] | None:
 
 
 def run(args: argparse.Namespace) -> Result:
-    from ..sums import sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
+    from ..sums import _listing, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
 
     fix = _parse_fix(args.fix)
-    include = args.list_triples
     if fix is None:
-        report = sum_fixed_s(args.s, include_triples=include)
+        report = sum_fixed_s(args.s)
     else:
         pinned = {"v": sum_fixed_sv, "d": sum_fixed_sd, "n": sum_fixed_sn}[fix[0]]
-        report = pinned(args.s, fix[1], include_triples=include)
+        report = pinned(args.s, fix[1])
+    include = args.list_triples
     query = {"command": "sums", "s": args.s,
              "fix": None if fix is None else {fix[0]: fix[1]}, "list": include}
     fields = {name: getattr(report, name) for name in
               ("formula_sum", "formula_multitude", "enumerated_sum", "enumerated_multitude")}
-    cells = None if report.triples is None else _cells(args.format, report.triples)
+    # the query's checked arguments list its cells a second time, as written
+    cells = _cells(args.format, _listing(args.s, fix)) if include else None
 
     if args.format == "json":
         # the sums can exceed 64 bits, the multitudes cannot
@@ -50,11 +62,11 @@ def run(args: argparse.Namespace) -> Result:
                   for name, x in fields.items()}
         return query, report.consistent, {**result, "triples": cells}
     if args.format == "csv":
-        rows: list[list[object]] = [["field", "value"]]
-        rows += [[name, "" if x is None else x] for name, x in fields.items()]
-        rows.append(["consistent", str(report.consistent).lower()])
-        rows += [["triple", *cell] for cell in cells or ()]
-        return query, report.consistent, rows
+        rows: list[tuple[object, ...]] = [("field", "value")]
+        rows += [(name, "" if x is None else x) for name, x in fields.items()]
+        rows.append(("consistent", str(report.consistent).lower()))
+        return query, report.consistent, rows if cells is None else chain(
+            rows, map(("triple",).__add__, cells))
     if report.formula_applies:
         formula = f"sum={_digits(report.formula_sum)} multitude={report.formula_multitude}"
     else:
@@ -64,4 +76,4 @@ def run(args: argparse.Namespace) -> Result:
         f"enumerated: sum={_digits(report.enumerated_sum)} multitude={report.enumerated_multitude}",
         f"consistent: {'yes' if report.consistent else 'no'}",
     ]
-    return query, report.consistent, lines + (cells or [])
+    return query, report.consistent, lines if cells is None else chain(lines, cells)

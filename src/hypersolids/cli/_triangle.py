@@ -1,7 +1,7 @@
 """``triangle``: the fixed-difference triangle with its row sums.
 
 The rows come one at a time from ``kernel._triangle_rows`` and each is
-rendered as it is made; ``--diagonals`` passes them through
+rendered as it is made, in every format; ``--diagonals`` passes them through
 ``triangle._diagonals``, which adds up their diagonals on that one pass.
 """
 
@@ -31,8 +31,8 @@ def run(args: argparse.Namespace) -> Result:
     d = _check("d", args.d)
     c_max = _check("c_max", args.rows)
     # --diagonals adds up the printed rows as they pass, so its totals are
-    # read only after the last row: after "rows" in JSON, and in CSV and
-    # text by generators chained after the rows
+    # read only after the last row: in JSON by a map that the writer reads
+    # after "rows", and in CSV and text by generators chained after the rows
     totals = [0] * (c_max + 1)
     diag = islice(totals, 2, None)
     rows = _triangle_rows(d, c_max)
@@ -43,10 +43,10 @@ def run(args: argparse.Namespace) -> Result:
 
     if args.format == "json":
         result = {
-            "rows": [[_digits(x) for x in row] for row in rows],
-            "row_sums": list(map(_digits, sums)),
+            "rows": ([*map(_digits, row)] for row in rows),
+            "row_sums": map(_digits, sums),
             "diagonal_sums": (
-                {"m": m, "first_index": 2, "values": list(map(_digits, diag))}
+                {"m": m, "first_index": 2, "values": map(_digits, diag)}
                 if m is not None
                 else None
             ),

@@ -19,10 +19,10 @@ rows c = 0..PASCAL_M + 1, Pascal's rows 0..127 with their 8,256 nonzero
 entries, and their columns, built once, on first use, by the adjacent-pair
 rule, and each shape has one reader.  :func:`_rows` gives
 rows 0..s, from the table up to s = 129 (s - 2 < :data:`PASCAL_M`) and
-built by ``kernel._triangle_rows`` above; a bare whole-simplex total and
-every listing of it read them.  A pinned difference reads its one row
-c = s - d from the table whenever c <= 129, at any total, and by a
-``math.comb`` map above.
+built by ``kernel._triangle_rows`` above; a bare whole-simplex total reads
+them.  A pinned difference reads its one row c = s - d
+(:func:`_pascal_row`) from the table whenever c <= 129, at any total, and
+by a ``math.comb`` map above.
 :func:`_weighted_columns` gives C(m, a) + (s - 2 - m) * C(m, b) down two
 columns, from the table up to s = 129 and by ``math.comb`` maps above: a
 pinned dimension reads columns (v - 1, v), a pinned rank (n - 1, n - 2), as
@@ -36,13 +36,21 @@ never builds a lifted cell.  Nothing here keeps a result between calls: the
 one state is the Pascal table, whose size is fixed, so a query's cost depends
 only on its arguments, past that one bounded build.  :func:`sum_fixed_sd`
 tallies its one Pascal row the same way.
+
 A listing needs every cell's value next to its coordinates, so only a
-listing builds coordinates and only a listing lifts: a slice makes its
-coordinate iterators only when ``include_triples=True``, a fixed-difference
-listing lifts its row cell by cell with :func:`_with_difference`, and the
-whole-simplex listing (:func:`enumerate_triples`,
-``sum_fixed_s(s, include_triples=True)``) lifts every row with
-:func:`_simplex_rows`.  A report without a listing holds the values' total
+listing builds coordinates, and every listing comes from one generator,
+:func:`_listing`, as plain ``(v, d, n, value)`` tuples of its nonzero cells
+in lexicographic order.  A slice pairs its O(s) values
+(:func:`_slice_values`, where a pinned difference lifts its row cell by
+cell with :func:`_with_difference`) with coordinate ranges.  The whole
+simplex (:func:`_simplex_cells`) walks v = 0..s holding only two columns of
+Pascal's triangle, C(m, v - 1) and C(m, v) over m = 0..s - 2, each the
+running sums of the one before; it reads neither the table nor
+:func:`_weighted_columns`, whose ``math.comb`` maps above s = 129 would
+cost two calls per cell.  ``include_triples=True`` and
+:func:`enumerate_triples` keep the generator's cells as IndexTriple pairs;
+the CLI writes them as they come, after the bare report of the same query
+has given the verdict.  A report without a listing holds the values' total
 and nonzero count and nothing more.
 
 The binomial and permutation identities the closed forms rest on are
@@ -53,9 +61,9 @@ catalogued in :data:`LEMMAS` and individually checkable via
 from __future__ import annotations
 
 import math
-from itertools import accumulate, count, islice, repeat, starmap
+from itertools import accumulate, chain, count, islice, repeat
 from math import comb, perm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .kernel import (
@@ -64,6 +72,7 @@ from .kernel import (
 
 Pairs = tuple[tuple[IndexTriple, int], ...]
 Grid = tuple[tuple[int, ...], ...]
+Cell = tuple[int, int, int, int]  # one listed cell: (v, d, n, value)
 
 
 def _with_difference(row: Sequence[int], d: int) -> list[int]:
@@ -99,30 +108,47 @@ def _lifted_tally(row: Sequence[int], d: int) -> tuple[int, int]:
     return total - row[c] + d * (total - row[0]), nonzero
 
 
-def _simplex_rows(s: int) -> Iterator[list[int]]:
-    """The values on the simplex v + d + n = s, one list per difference.
+def _simplex_cells(s: int) -> Iterator[Cell]:
+    """Every cell on the simplex v + d + n = s, zeros included, lexicographic.
 
-    The list for difference d holds S(v, d, s - d - v) for v = 0..s - d;
-    the lists come for d = s, s - 1, ..., 0.  They are the rows c = s - d of
-    the d = 0 triangle, which is Pascal's, read by :func:`_rows` and each
-    lifted to its difference by :func:`_with_difference`.  Only listings
-    read them (:func:`_triples`).
+    The walk goes v = 0..s and holds two columns of Pascal's triangle over
+    m = 0..s - 2: ``low[m] = C(m, v - 1)`` and ``high[m] = C(m, v)``.  Cell
+    (v, d) has m = s - d - 2 and the value low[m] + d * high[m]; the cells
+    with m < 0, at d = s - 1 and s, are zeros.  Column 0 is all ones and
+    column v + 1 the running sums of column v, C(m, v + 1) = the sum of
+    C(j, v) over j < m, so the walk holds O(s) values, not the simplex.
     """
-    return map(_with_difference, _rows(s), range(s, -1, -1))
+    low = [0] * max(s - 1, 0)
+    high = [1] * len(low)
+    for v in range(s + 1):
+        values = map(add, reversed(low), map(mul, count(), reversed(high)))
+        yield from zip(repeat(v), range(s - v + 1), range(s - v, -1, -1), chain(values, (0, 0)))
+        low, high = high, list(accumulate(high, initial=0))
+        high.pop()
 
 
-def _triples(s: int) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """The values on the simplex v + d + n = s and their coordinates, lexicographic."""
-    by_d = list(_simplex_rows(s))[::-1]
-    cells = [(v, d, s - v - d) for v in range(s + 1) for d in range(s - v + 1)]
-    return [by_d[d][v] for v, d, _ in cells], cells
+def _listing(s: int, fixed: tuple[str, int] | None = None) -> Iterator[Cell]:
+    """The nonzero cells of one query, ``(v, d, n, value)``, lexicographic.
+
+    ``fixed`` is None for the whole simplex, else the pinned coordinate's
+    name and value; the arguments are those of a query that has already
+    checked them.  A slice lists its O(s) values (:func:`_slice_values`),
+    and the whole simplex walks two Pascal columns (:func:`_simplex_cells`),
+    so a listing holds O(s) values whatever its length.  The CLI writes a
+    listing from here cell by cell, and ``include_triples=True`` keeps it.
+    """
+    if fixed is None:
+        return filter(itemgetter(3), _simplex_cells(s))
+    name, k = fixed
+    free, rest, pinned = range(s - k + 1), range(s - k, -1, -1), repeat(k)
+    coordinates = {"v": (pinned, free, rest), "d": (free, pinned, rest), "n": (free, rest, pinned)}
+    return filter(itemgetter(3), zip(*coordinates[name], _slice_values(s, name, k)))
 
 
 def enumerate_triples(s: int) -> list[tuple[IndexTriple, int]]:
     """All (v, d, n) with v + d + n == s, lexicographic, with their values."""
     s = _check("s", s)
-    values, cells = _triples(s)
-    return list(zip(starmap(IndexTriple, cells), values))
+    return [(IndexTriple(v, d, n), value) for v, d, n, value in _simplex_cells(s)]
 
 
 class SumReport(_Record):
@@ -167,30 +193,24 @@ class SumReport(_Record):
 
 
 def _report(
-    values: Sequence[int],
     formula_sum: int | None,
     formula_multitude: int | None,
-    cells: Iterable[tuple[int, int, int]] | None = None,
-    totals: tuple[int, int] | None = None,
+    totals: tuple[int, int],
+    triples: Pairs | None = None,
 ) -> SumReport:
-    """The closed form against the enumerated cells of one query.
-
-    ``values`` holds the cells' values.  ``cells``, given only for a
-    listing, holds their coordinates in the same order, and the report then
-    lists the nonzero cells as IndexTriples.  ``totals``, when given, is the
-    enumerated sum and nonzero count worked out without the cells, and
-    stands in for the tally of ``values``.
-    """
-    if totals is None:
-        totals = sum(values), len(values) - values.count(0)
+    """The closed form against ``totals``, the enumerated sum and nonzero
+    count of one query, with the query's listing when it asked for one."""
     enum_sum, multitude = totals
-    triples = None
-    if cells is not None:
-        pairs = zip(starmap(IndexTriple, cells), values)
-        triples = tuple((t, value) for t, value in pairs if value)
     consistent = (formula_sum is not None and formula_sum == enum_sum
                   and formula_multitude == multitude)
     return SumReport(formula_sum, enum_sum, formula_multitude, multitude, triples, consistent)
+
+
+def _listed(s: int, fixed: tuple[str, int] | None = None) -> tuple[tuple[int, int], Pairs]:
+    """The totals of a query's listing, tallied from its cells, and the cells
+    as (IndexTriple, value) pairs."""
+    triples = tuple((IndexTriple(v, d, n), value) for v, d, n, value in _listing(s, fixed))
+    return (sum(value for _, value in triples), len(triples)), triples
 
 
 #: The table holds rows c = 0..PASCAL_M + 1 of the d = 0 triangle, Pascal's
@@ -262,6 +282,41 @@ def _pinned(s: int, name: str, k: int) -> tuple[int, int]:
     return s, k
 
 
+def _pascal_row(c: int) -> Sequence[int]:
+    """Row c of the d = 0 triangle, 0, C(c - 2, 0..c - 2), 0: from the table
+    whenever c - 2 < PASCAL_M, at any total, and by a ``math.comb`` map above."""
+    if c - 2 < PASCAL_M:
+        return _pascal()[0][c]
+    return (0, *map(comb, repeat(c - 2), range(c - 1)), 0)
+
+
+def _slice_values(s: int, name: str, k: int) -> list[int]:
+    """The values of the slice with coordinate ``name`` pinned to k,
+    lexicographic: its first free coordinate runs 0..s - k, the other down."""
+    if name == "v":
+        # Two columns of Pascal's triangle: m = s - d - 2 runs down as d runs up.
+        if k == 0:
+            return [*range(s - 1), 0, 0][: s + 1]  # d while n >= 2, then n = 1, 0
+        values = list(_weighted_columns(s, k - 1, k, max(k - 2, 0)))  # the cells with m >= 0
+        values.reverse()
+        if k == 1:
+            values.append(0)  # n = 0: m = -1
+        return values
+    if name == "n":
+        # Two columns of Pascal's triangle: m = v + n - 2 climbs with v, and
+        # C(m, v - 1) = C(m, n - 1), C(m, v) = C(m, n - 2).  The v = 0 cell
+        # holds d when m >= 0; rank 0 is all zeros, and rank 1 holds
+        # C(m, m) = 1 from v = 1 on.
+        if k >= 2:
+            return [s - k, *_weighted_columns(s, k - 1, k - 2, k - 1)]
+        if k == 1:
+            return [0, *repeat(1, s - 1)]
+        return [0] * (s + 1)
+    # A row of Pascal's triangle, every cell with m = s - d - 2: row c = s - d
+    # of the d = 0 triangle, lifted to d by the difference gnomon.
+    return _with_difference(_pascal_row(s - k), k)
+
+
 def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     """Sum over all triples with total s and dimension pinned to v.
 
@@ -270,15 +325,6 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     """
     if not (type(s) is type(v) is int and 0 <= v <= s < COORD_LIMIT):
         s, v = _pinned(s, "v", v)
-    # Two columns of Pascal's triangle: m = s - d - 2 runs down as d runs up.
-    if v == 0:
-        values = [*range(s - 1), 0, 0][: s + 1]  # d while n >= 2, then n = 1, 0
-    else:
-        values = list(_weighted_columns(s, v - 1, v, max(v - 2, 0)))  # the cells with m >= 0
-        values.reverse()
-        if v == 1:
-            values.append(0)  # n = 0: m = -1
-    cells = zip(repeat(v), range(s - v + 1), range(s - v, -1, -1)) if include_triples else None
     # math.comb(k, j) is 0 for j > k >= 0, and only s = 0 makes k negative
     if v == 0:
         formula_sum = math.comb(s - 1, 2) if s else 0
@@ -286,7 +332,10 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = math.comb(s - 1, v) + math.comb(s - 1, v + 2)
         formula_multitude = s - v
-    return _report(values, formula_sum, formula_multitude, cells)
+    if include_triples:
+        return _report(formula_sum, formula_multitude, *_listed(s, ("v", v)))
+    values = _slice_values(s, "v", v)
+    return _report(formula_sum, formula_multitude, (sum(values), len(values) - values.count(0)))
 
 
 def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
@@ -295,17 +344,10 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     Closed form (d + 1) * 2**(s - d - 2) applies for d <= s - 2, with
     nonzero count s - 1 when d = 0 and s - d otherwise.  For d in
     {s - 1, s} every candidate value is zero and no closed form applies.
+    Without a listing the Pascal row c = s - d is tallied, not lifted.
     """
     if not (type(s) is type(d) is int and 0 <= d <= s < COORD_LIMIT):
         s, d = _pinned(s, "d", d)
-    # A row of Pascal's triangle, every cell with m = s - d - 2: row c = s - d
-    # of the d = 0 triangle, lifted to d by the difference gnomon.  Without a
-    # listing the lift is tallied, not built.
-    c = s - d
-    if c - 2 < PASCAL_M:
-        row = _pascal()[0][c]
-    else:
-        row = (0, *map(comb, repeat(c - 2), range(c - 1)), 0)
     if d <= s - 2:
         formula_sum = (d + 1) * 2 ** (s - d - 2)
         formula_multitude = s - 1 if d == 0 else s - d
@@ -313,9 +355,8 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
         formula_sum = None
         formula_multitude = None
     if include_triples:
-        cells = zip(range(s - d + 1), repeat(d), range(s - d, -1, -1))
-        return _report(_with_difference(row, d), formula_sum, formula_multitude, cells)
-    return _report((), formula_sum, formula_multitude, totals=_lifted_tally(row, d))
+        return _report(formula_sum, formula_multitude, *_listed(s, ("d", d)))
+    return _report(formula_sum, formula_multitude, _lifted_tally(_pascal_row(s - d), d))
 
 
 def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
@@ -328,17 +369,6 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     """
     if not (type(s) is type(n) is int and 0 <= n <= s < COORD_LIMIT):
         s, n = _pinned(s, "n", n)
-    # Two columns of Pascal's triangle: m = v + n - 2 climbs with v, and
-    # C(m, v - 1) = C(m, n - 1), C(m, v) = C(m, n - 2).  The v = 0 cell holds
-    # d when m >= 0; rank 0 is all zeros, and rank 1 holds C(m, m) = 1 from
-    # v = 1 on.
-    if n >= 2:
-        values = [s - n, *_weighted_columns(s, n - 1, n - 2, n - 1)]
-    elif n == 1:
-        values = [0, *repeat(1, s - 1)]
-    else:
-        values = [0] * (s + 1)
-    cells = zip(range(s - n + 1), range(s - n, -1, -1), repeat(n)) if include_triples else None
     if n == 0:
         formula_sum, formula_multitude = 0, 0
     elif n == 1:
@@ -349,7 +379,10 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     else:
         formula_sum = None
         formula_multitude = None
-    return _report(values, formula_sum, formula_multitude, cells)
+    if include_triples:
+        return _report(formula_sum, formula_multitude, *_listed(s, ("n", n)))
+    values = _slice_values(s, "n", n)
+    return _report(formula_sum, formula_multitude, (sum(values), len(values) - values.count(0)))
 
 
 def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
@@ -363,8 +396,8 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
     P = sum(row), and its lifted nonzero count from where the row's own
     zeros lie, so no lifted cell is built.  The rows, 0, C(c - 2, 0..c - 2),
     0, come from :func:`_rows`: from the table the slices read up to s = 129,
-    built with ``_triangle_rows`` above.  A listing pairs every cell's value
-    with its coordinates, so only it lifts the rows cell by cell.
+    built with ``_triangle_rows`` above.  A listing tallies its own cells,
+    which :func:`_simplex_cells` makes from two Pascal columns at a time.
     """
     s = _check("s", s)
     if s >= 2:
@@ -374,11 +407,9 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
         formula_sum = None
         formula_multitude = None
     if include_triples:
-        values, cells = _triples(s)
-        return _report(values, formula_sum, formula_multitude, cells)
+        return _report(formula_sum, formula_multitude, *_listed(s))
     row_sums, row_nonzeros = zip(*map(_lifted_tally, _rows(s), range(s, -1, -1)))
-    totals = sum(row_sums), sum(row_nonzeros)
-    return _report((), formula_sum, formula_multitude, totals=totals)
+    return _report(formula_sum, formula_multitude, (sum(row_sums), sum(row_nonzeros)))
 
 
 class _Lemma(NamedTuple):

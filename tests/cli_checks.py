@@ -16,7 +16,7 @@ The handler runs between bytecodes, so a single long C call, such as one
 
 import sys
 STARTED = {name.partition(".")[0] for name in sys.modules}  # before the imports below
-import argparse, contextlib, io, re, shlex, signal, subprocess, tempfile, time  # noqa: E401, E402
+import argparse, contextlib, io, json, re, shlex, signal, subprocess, tempfile, time  # noqa: E401, E402
 from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
 from typing import Callable, NamedTuple  # noqa: E402
@@ -62,6 +62,36 @@ def hits_of(target, count=None):
         rows = [tuple(map(int, row.split(","))) for row in out.splitlines()[1:]]
         return (len(rows) == count if count is not None else rows != []) and all(
             value == target == (v + d if n == 2 else S(v, d, n)) for v, d, n, value in rows)
+    return judge
+
+
+def listed(cells, s, count, total):
+    """Listed (v, d, n, value) cells of total s: count of them, strictly
+    lexicographic, each nonzero and S(v, d, n) by math.comb (d itself at
+    v = 0, where only ranks n >= 2 are nonzero), adding up to total."""
+    return (len(cells) == count and cells == sorted(set(cells))
+            and sum(value for *_, value in cells) == total
+            and all(v + d + n == s and value != 0 and value == (d if v == 0 else S(v, d, n))
+                    for v, d, n, value in cells))
+
+
+def csv_listing(s, count, total):
+    """``sums --list --format csv``: the verdict, then the triple rows, each
+    judged by :func:`listed` against the closed form."""
+    def judge(out):
+        lines = out.splitlines()
+        cells = [tuple(map(int, line.split(",")[1:])) for line in lines if line.startswith("triple,")]
+        return "consistent,true" in lines and listed(cells, s, count, total)
+    return judge
+
+
+def json_listing(s, count, total):
+    """``sums --list --format json``: consistent, and its triples judged by
+    :func:`listed` against the closed form."""
+    def judge(out):
+        doc = json.loads(out)
+        cells = [(t["v"], t["d"], t["n"], int(t["value"])) for t in doc["result"]["triples"]]
+        return doc["consistent"] is True and listed(cells, s, count, total)
     return judge
 
 
@@ -164,6 +194,10 @@ ROWS = [
     Row("triangle --d 3 --rows 300 --diagonals 3 --format csv", triangle_d3_m3, timeout=10),
     Row("triangle --d 3 --rows 300 --diagonals 3", triangle_d3_m3_text, timeout=10),
     Row("sums --s 12 --list", None),
+    Row("sums --s 300 --list --format csv", csv_listing(300, 45148, 2**300 - 301), timeout=10),
+    Row("sums --s 300 --fix v=150 --list --format json",
+        json_listing(300, 150, comb(299, 150) + comb(299, 152)), timeout=10),
+    Row("eval --v 3 --d 2 --n 5 --output /dev/full", "", code=2),
     Row("verify --suite all --format json", None),
     Row("represent --value 1" + "0" * 4400, None),
     Row("represent --value 120 --format csv --output {tmp}/hits.csv", ""),

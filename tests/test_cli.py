@@ -9,6 +9,7 @@ checked reference values and are compared byte for byte.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -913,6 +914,14 @@ def test_failed_output_keeps_the_old_file_and_leaves_no_temporary(run_cli, tmp_p
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_into_a_device_names_the_device(run_cli):
+    # a write into /dev/full fails with no file name of its own
+    code, out, err = run_cli("eval", "--v", "3", "--d", "2", "--n", "5", "--output", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '/dev/full'\n"
+
+
 def test_csv_and_json_are_byte_deterministic(run_cli):
     for argv in (
         ["sums", "--s", "9", "--fix", "n=4", "--list", "--format", "csv"],
@@ -952,14 +961,16 @@ def test_json_documents_share_the_envelope(run_cli):
 
 def whole_output(argv):
     """(exit code, stdout) of one call as the CLI wrote it while it joined
-    the whole output into one string before writing it."""
+    the whole output into one string before writing it; a listing that the
+    command now makes as it is written is made into a list first."""
     args = build_parser(argv[0]).parse_args(argv)
     try:
         query, consistent, payload = args.func(args)
     except ValueError:
         return 2, ""
     if args.format == "json":
-        text = json.dumps({"query": query, "result": payload, "consistent": consistent}) + "\n"
+        text = json.dumps({"query": query, "result": payload, "consistent": consistent},
+                          default=list) + "\n"
     elif args.format == "csv":
         text = "".join(",".join(map(_digits, row)) + "\n" for row in payload)
     else:
@@ -1004,21 +1015,59 @@ def test_every_call_writes_the_bytes_of_the_whole_string_writer(run_cli, tmp_pat
     assert codes == ({0, 1, 2} if command == "sums" else {0})
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+def traced_peak(argv, warm_up):
+    """(exit code, tracemalloc peak in bytes) of one call into a discarding
+    stream, after ``warm_up`` has imported the command's modules."""
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        cli.main(warm_up)
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_a_long_triangle_is_written_without_its_whole_output_in_memory(fmt):
     # the 401 rows print as about 4.7 MB of digits; the writer holds a batch
     # of lines at a time, never the whole output as one string
     argv = ["triangle", "--d", "1", "--rows", "400", "--format", fmt]
-    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
-        cli.main(argv[:4] + ["3"])  # the command's modules are imported before tracing
-        tracemalloc.start()
-        try:
-            code = cli.main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    assert traced_peak(argv, argv[:4] + ["3"]) < (0, 4_000_000)
+
+
+@pytest.mark.parametrize("argv", [
+    # the 80,198 nonzero cells of s = 400, about 3.6 MB of digits in CSV
+    "sums --s 400 --list --format text",
+    "sums --s 400 --list --format csv",
+    "sums --s 400 --list --format json",
+    # 701 cells of up to 876 bits; the listing holds their values, not their lines
+    "sums --s 1000 --fix n=300 --list --format json",
+])
+def test_a_long_sums_listing_is_written_without_its_whole_output_in_memory(argv):
+    # the tally pass gives the verdict, then the cells are written as a
+    # second pass makes them: two Pascal columns at a time for the whole
+    # simplex, one slice's values for a pinned coordinate
+    argv = argv.split()
+    bound = 4_000_000 if "--fix" not in argv else 500_000
+    assert traced_peak(argv, ["sums", "--s", "3", "--list"]) < (0, bound)
+
+
+def test_a_long_representation_list_is_written_without_a_rendered_copy():
+    # the 100,008 hits stay one list, as the search returns them; the CLI
+    # adds no rendered copy of them, only a batch at a time
+    argv = ["represent", "--value", "100000", "--vmax", "4294967295", "--nmin", "2"]
+    tracemalloc.start()
+    try:
+        hits = hypersolids.representations(100000, v_range=(2, 4294967295), n_min=2)
+        search_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == 100008
+    del hits
+    code, peak = traced_peak([*argv, "--format", "json"], ["represent", "--value", "6"])
     assert code == 0
-    assert peak < 4_000_000
+    assert peak < search_peak + 1_000_000
 
 
 def test_an_interrupted_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):

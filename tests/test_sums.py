@@ -379,9 +379,10 @@ def test_slices_never_build_the_whole_simplex(monkeypatch):
     def whole_simplex(s):
         raise AssertionError(f"slice query built the whole simplex for s={s}")
 
-    monkeypatch.setattr(sums, "_triples", whole_simplex)
+    monkeypatch.setattr(sums, "_simplex_cells", whole_simplex)
     for query in (sum_fixed_sv, sum_fixed_sd, sum_fixed_sn):
         assert query(12, 3).consistent
+        assert query(12, 3, include_triples=True).consistent
 
 
 @pytest.mark.parametrize(
@@ -529,12 +530,14 @@ def test_slices_without_listing_build_no_triples(monkeypatch):
             assert query(12, k).enumerated_sum >= 0
 
 
-def test_simplex_rows_match_the_closed_form_cell_by_cell():
+def test_simplex_cells_match_the_closed_form_cell_by_cell():
     for s in range(41):
-        rows = list(sums._simplex_rows(s))
-        assert [len(row) for row in rows] == list(range(1, s + 2)), s
-        for d, row in zip(range(s, -1, -1), rows):
-            assert row == [hypersolid(v, d, s - d - v) for v in range(s - d + 1)], (s, d)
+        cells = list(sums._simplex_cells(s))
+        assert len(cells) == (s + 1) * (s + 2) // 2, s
+        for v, d, n, value in cells:
+            assert value == hypersolid(v, d, n), (s, v, d)
+        assert [cell[:3] for cell in cells] == [
+            (v, d, s - v - d) for v in range(s + 1) for d in range(s - v + 1)], s
 
 
 def test_enumerate_triples_matches_the_closed_form_cell_by_cell():
@@ -561,8 +564,8 @@ def test_simplex_total_by_rows_equals_the_listed_cells():
 
 def test_simplex_totals_below_the_table_bound_build_no_triangle_rows(monkeypatch):
     # a bare total up to s = 129 reads Pascal's rows from the table the slices
-    # read, and so does a listing of the whole simplex; only a larger total,
-    # bare or listed, still builds them row by row
+    # read, and only a larger bare total still builds them row by row; a
+    # listing of the whole simplex walks two Pascal columns and builds none
     sums._pascal()
     top = sums.PASCAL_M + 1
 
@@ -590,7 +593,7 @@ def test_simplex_total_without_listing_never_builds_the_cells(monkeypatch):
     def whole_simplex(s):
         raise AssertionError(f"sum_fixed_s built the listed simplex for s={s}")
 
-    monkeypatch.setattr(sums, "_triples", whole_simplex)
+    monkeypatch.setattr(sums, "_simplex_cells", whole_simplex)
     assert sum_fixed_s(12).consistent
     assert sum_fixed_s(1).enumerated_sum == 0
 
@@ -638,6 +641,24 @@ def test_simplex_total_by_row_totals_equals_the_listing_and_every_cell():
         listed = sum_fixed_s(s, include_triples=True)
         assert (bare.enumerated_sum, bare.enumerated_multitude) == want, s
         assert (listed.enumerated_sum, listed.enumerated_multitude) == want, s
+
+
+def test_the_simplex_walk_equals_the_pascal_rows_oracle_cell_by_cell(monkeypatch):
+    # the walk that lists the whole simplex holds two Pascal columns and reads
+    # neither the table nor math.comb; every cell it makes, on both sides of
+    # the table's bound, against the oracle's rows, reordered by v then d
+    def refuse(*args):
+        raise AssertionError(f"the simplex walk read a binomial or the table: {args}")
+
+    monkeypatch.setattr(sums, "comb", refuse)
+    monkeypatch.setattr(sums, "_pascal", refuse)
+    pascal = pascal_rows(198)
+    for s in (*range(12), 127, 128, 129, 130, 131, 200):
+        values = iter(simplex_cells(s, pascal))
+        by_d = [[next(values) for _ in range(s - d + 1)] for d in range(s + 1)]
+        want = [(v, d, s - v - d, by_d[d][v]) for v in range(s + 1) for d in range(s - v + 1)]
+        assert list(sums._simplex_cells(s)) == want, s
+        assert list(sums._listing(s)) == [cell for cell in want if cell[3]], s
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,8 @@ from itertools import accumulate, product
 
 import pytest
 
-from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, build_triangle, run_suite,
-                         run_suites, compile_row, kernel, sums, verify)
+from hypersolids import (LEMMAS, GridBounds, RangeError, SumReport, build_triangle, hypersolid,
+                         run_suite, run_suites, compile_row, kernel, sums, verify)
 from hypersolids.kernel import DEFAULT_BOUNDS
 from hypersolids.verify import SUITES, VerifyOutcome, _run_cases
 
@@ -246,11 +246,12 @@ def test_a_wrong_nonzero_count_fails_its_own_case_and_the_zero_census(
     assert outcome.cases_run == run_suite("theorems", bounds=SMALL).cases_run
 
 
-def test_the_zero_census_of_every_axis_counts_the_zeros_of_the_lifted_rows():
-    # the slices' nonzero counts against the rows of the whole simplex,
-    # lifted from Pascal's triangle cell by cell
+def test_the_zero_census_of_every_axis_counts_the_zeros_of_every_cell():
+    # the slices' nonzero counts against every cell of the whole simplex,
+    # each evaluated by the scalar closed form
     for s in range(2, 61):
-        zeros = sum(row.count(0) for row in sums._simplex_rows(s))
+        zeros = sum(hypersolid(v, d, s - v - d) == 0
+                    for v in range(s + 1) for d in range(s - v + 1))
         cells = (s + 1) * (s + 2) // 2
         for query in (sums.sum_fixed_sv, sums.sum_fixed_sd, sums.sum_fixed_sn):
             nonzero = sum(query(s, k).enumerated_multitude for k in range(s + 1))
