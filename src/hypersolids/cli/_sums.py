@@ -1,12 +1,13 @@
 """``sums``: a fixed-total sum, closed form against enumeration.
 
-A call makes two deterministic passes over its query.  The first is the
-bare report, the tally of the cells' sum and nonzero count, and its verdict
-sets the exit code and the ``consistent`` field: the verdict judges the
-tally.  With ``--list`` the second pass lists the nonzero cells from
-``sums._listing`` as they are written, after the verdict in text and CSV
-and inside ``result`` in JSON, so no listing is held whole.  Every check of
-the query is made by the first pass, so a call that fails one writes
+A call first makes the bare report, the tally of the cells' sum and
+nonzero count, and its verdict sets the exit code and the ``consistent``
+field: the verdict judges the tally.  With ``--list`` the nonzero cells are
+listed as they are written, after the verdict in text and CSV and inside
+``result`` in JSON, so no listing is held whole.  The whole simplex lists
+them in a second pass (``sums._listing``); a slice tallies and lists one
+list of its O(s) values (``sums._slice_listing``).  Every check of the
+query is made before anything is written, so a call that fails one writes
 nothing.
 """
 
@@ -40,21 +41,27 @@ def _parse_fix(text: str | None) -> tuple[str, int] | None:
 
 
 def run(args: argparse.Namespace) -> Result:
-    from ..sums import _listing, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv
+    from ..sums import (
+        _listing, _slice_listing, sum_fixed_s, sum_fixed_sd, sum_fixed_sn, sum_fixed_sv,
+    )
 
     fix = _parse_fix(args.fix)
+    include = args.list_triples
+    listing = None
     if fix is None:
         report = sum_fixed_s(args.s)
+        if include:  # the query's checked total lists its cells a second time, as written
+            listing = _listing(args.s)
+    elif include:  # the tally and the listing read one list of the slice's values
+        report, listing = _slice_listing(args.s, *fix)
     else:
         pinned = {"v": sum_fixed_sv, "d": sum_fixed_sd, "n": sum_fixed_sn}[fix[0]]
         report = pinned(args.s, fix[1])
-    include = args.list_triples
     query = {"command": "sums", "s": args.s,
              "fix": None if fix is None else {fix[0]: fix[1]}, "list": include}
     fields = {name: getattr(report, name) for name in
               ("formula_sum", "formula_multitude", "enumerated_sum", "enumerated_multitude")}
-    # the query's checked arguments list its cells a second time, as written
-    cells = _cells(args.format, _listing(args.s, fix)) if include else None
+    cells = None if listing is None else _cells(args.format, listing)
 
     if args.format == "json":
         # the sums can exceed 64 bits, the multitudes cannot

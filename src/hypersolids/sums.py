@@ -14,28 +14,31 @@ triangle: with the difference pinned they share m and read one row, with
 the dimension or the rank pinned m runs down two columns.  A slice query
 computes its O(s) values in one pass of maps, with the v = 0, rank 0 and
 rank 1 corners written out, and calls no Python function per cell.  The
-binomials come from one fixed table (:func:`_pascal`) of that triangle's
-rows c = 0..PASCAL_M + 1, Pascal's rows 0..127 with their 8,256 nonzero
-entries, and their columns, built once, on first use, by the adjacent-pair
-rule, and each shape has one reader.  :func:`_rows` gives
-rows 0..s, from the table up to s = 129 (s - 2 < :data:`PASCAL_M`) and
-built by ``kernel._triangle_rows`` above; a bare whole-simplex total reads
-them.  A pinned difference reads its one row c = s - d
-(:func:`_pascal_row`) from the table whenever c <= 129, at any total, and
-by a ``math.comb`` map above.
-:func:`_weighted_columns` gives C(m, a) + (s - 2 - m) * C(m, b) down two
-columns, from the table up to s = 129 and by ``math.comb`` maps above: a
+binomials come from one fixed table (:func:`_pascal`), built once, on first
+use, by the adjacent-pair rule: the d = 0 triangle's rows c = 0..PASCAL_M + 1,
+Pascal's rows 0..127 with their 8,256 nonzero entries, their columns, and
+each row's tally parts.  :func:`_weighted_columns` gives
+C(m, a) + (s - 2 - m) * C(m, b) down two columns, from the table up to
+s = 129 (s - 2 < :data:`PASCAL_M`) and by ``math.comb`` maps above: a
 pinned dimension reads columns (v - 1, v), a pinned rank (n - 1, n - 2), as
-C(m, v) = C(m, n - 2) there.  The closed forms keep ``math.comb``, so from
-the table the enumerated side shares no binomial with its judge.
+C(m, v) = C(m, n - 2) there.  A pinned difference reads its one row
+c = s - d (:func:`_pascal_row`) from the table whenever c <= 129, at any
+total, and by a ``math.comb`` map above.  The closed forms keep
+``math.comb``, so from the table the enumerated side shares no binomial with
+its judge.
+
 The difference gnomon S(v, d, n) = S(v, 0, n) + d * S(v + 1, 0, n - 1) lifts
-row c to the difference d = s - c, and a lifted row's sum is
-(P - row[c]) + d * (P - row[0]) with P = sum(row), so :func:`sum_fixed_s`
-adds up one row total and one product per row (:func:`_lifted_tally`) and
-never builds a lifted cell.  Nothing here keeps a result between calls: the
-one state is the Pascal table, whose size is fixed, so a query's cost depends
-only on its arguments, past that one bounded build.  :func:`sum_fixed_sd`
-tallies its one Pascal row the same way.
+row c to the difference d = s - c, and one helper, :func:`_row_parts`,
+tallies a lifted row without building it: four parts of the row that do
+not depend on d give the lift's sum and nonzero count at every d.  The
+table holds them for its rows, so :func:`sum_fixed_s` up to s = 129 is a
+few reductions over slices of the table's parts and makes no Python call
+per row; above, it takes the parts of each row of ``kernel._triangle_rows``.
+:func:`sum_fixed_sd` reads its one row's parts from the table whenever
+c <= 129 and takes them from the ``math.comb`` row above.  Nothing here keeps
+a result between calls: the one state is the Pascal table, whose size is
+fixed, so a query's cost depends only on its arguments, past that one
+bounded build.
 
 A listing needs every cell's value next to its coordinates, so only a
 listing builds coordinates, and every listing comes from one generator,
@@ -48,10 +51,12 @@ Pascal's triangle, C(m, v - 1) and C(m, v) over m = 0..s - 2, each the
 running sums of the one before; it reads neither the table nor
 :func:`_weighted_columns`, whose ``math.comb`` maps above s = 129 would
 cost two calls per cell.  ``include_triples=True`` and
-:func:`enumerate_triples` keep the generator's cells as IndexTriple pairs;
-the CLI writes them as they come, after the bare report of the same query
-has given the verdict.  A report without a listing holds the values' total
-and nonzero count and nothing more.
+:func:`enumerate_triples` keep the generator's cells as IndexTriple pairs.
+The CLI writes them as they come, after the bare report of the same query
+has given the verdict; a listed slice tallies and lists one list of its
+values (:func:`_slice_listing`), and the whole simplex is walked after its
+bare total.  A report without a listing holds the values' total and
+nonzero count and nothing more.
 
 The binomial and permutation identities the closed forms rest on are
 catalogued in :data:`LEMMAS` and individually checkable via
@@ -64,7 +69,7 @@ import math
 from itertools import accumulate, chain, count, islice, repeat
 from math import comb, perm
 from operator import add, itemgetter, mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .kernel import (
     COORD_LIMIT, IndexTriple, RangeError, _check, _Record, _triangle_rows, binomial,
@@ -85,27 +90,28 @@ def _with_difference(row: Sequence[int], d: int) -> list[int]:
     return [*map(add, row, map(d.__mul__, row[1:])), 0]
 
 
-def _lifted_tally(row: Sequence[int], d: int) -> tuple[int, int]:
-    """The sum and the nonzero count of ``_with_difference(row, d)``, not built.
+def _row_parts(row: Sequence[int]) -> tuple[int, int, int, int]:
+    """The tally of ``_with_difference(row, d)`` in four parts free of d.
 
     ``row`` is not empty and holds values >= 0.  Its lift holds
     row[v] + d * row[v + 1] for v < c = len(row) - 1, then a zero, so the
-    lift sums to (P - row[c]) + d * (P - row[0]) with P = sum(row), and a
-    lifted cell v < c is zero exactly when row[v] is and, for d > 0,
-    row[v + 1] is too.  A row holds few zeros, so ``index`` finds them, and
-    its scan stops before the last cell, whose own zero lifts to nothing.
-    :func:`sum_fixed_s` tallies every row of the simplex with it and
-    :func:`sum_fixed_sd` its one Pascal row.
+    lift sums to a + d * b with a = P - row[c], b = P - row[0] and
+    P = sum(row).  A lifted cell v < c is zero exactly when row[v] is and,
+    for d > 0, row[v + 1] is too, so the lift has z0 nonzero cells at d = 0
+    and zp at every d > 0.  The result is ``(a, b, z0, zp)``, and the lift
+    to d tallies as ``(a + d * b, z0 if d == 0 else zp)``.  A row holds few
+    zeros, so ``index`` finds them, and its scan stops before the last cell,
+    whose own zero lifts to nothing.
     """
     total = sum(row)
     c = len(row) - 1
-    nonzero = c
+    z0 = zp = c
     v = -1
     for _ in range(row.count(0) - (row[c] == 0)):
         v = row.index(0, v + 1, c)
-        if d == 0 or row[v + 1] == 0:
-            nonzero -= 1
-    return total - row[c] + d * (total - row[0]), nonzero
+        z0 -= 1
+        zp -= row[v + 1] == 0
+    return total - row[c], total - row[0], z0, zp
 
 
 def _simplex_cells(s: int) -> Iterator[Cell]:
@@ -127,22 +133,27 @@ def _simplex_cells(s: int) -> Iterator[Cell]:
         high.pop()
 
 
-def _listing(s: int, fixed: tuple[str, int] | None = None) -> Iterator[Cell]:
+def _listing(
+    s: int, fixed: tuple[str, int] | None = None, values: list[int] | None = None
+) -> Iterator[Cell]:
     """The nonzero cells of one query, ``(v, d, n, value)``, lexicographic.
 
     ``fixed`` is None for the whole simplex, else the pinned coordinate's
     name and value; the arguments are those of a query that has already
-    checked them.  A slice lists its O(s) values (:func:`_slice_values`),
-    and the whole simplex walks two Pascal columns (:func:`_simplex_cells`),
-    so a listing holds O(s) values whatever its length.  The CLI writes a
-    listing from here cell by cell, and ``include_triples=True`` keeps it.
+    checked them.  A slice lists its O(s) values, ``values`` when the caller
+    has tallied them, else those of :func:`_slice_values`, and the whole
+    simplex walks two Pascal columns (:func:`_simplex_cells`), so a listing
+    holds O(s) values whatever its length.  The CLI writes a listing from here cell by cell,
+    and ``include_triples=True`` keeps it.
     """
     if fixed is None:
         return filter(itemgetter(3), _simplex_cells(s))
     name, k = fixed
+    if values is None:
+        values = _slice_values(s, name, k)
     free, rest, pinned = range(s - k + 1), range(s - k, -1, -1), repeat(k)
     coordinates = {"v": (pinned, free, rest), "d": (free, pinned, rest), "n": (free, rest, pinned)}
-    return filter(itemgetter(3), zip(*coordinates[name], _slice_values(s, name, k)))
+    return filter(itemgetter(3), zip(*coordinates[name], values))
 
 
 def enumerate_triples(s: int) -> list[tuple[IndexTriple, int]]:
@@ -219,19 +230,21 @@ def _listed(s: int, fixed: tuple[str, int] | None = None) -> tuple[tuple[int, in
 #: entry, C(127, 63), is below 2**124.
 PASCAL_M = 128
 
-#: ``(rows, columns)`` once built.  rows[c] is row c of the d = 0 triangle,
-#: 0, C(c - 2, 0..c - 2), 0, for c = 0..PASCAL_M + 1, and columns are the
-#: rows zero-padded to width PASCAL_M + 3 and transposed, so
-#: columns[k + 1][m + 2] = C(m, k), zero for k > m.  One tuple, so a reader
-#: in another thread never pairs new rows with old columns.
-_pascal_table: tuple[Grid, Grid] | None = None
+#: ``(rows, columns, parts)`` once built.  rows[c] is row c of the d = 0
+#: triangle, 0, C(c - 2, 0..c - 2), 0, for c = 0..PASCAL_M + 1, and columns
+#: are the rows zero-padded to width PASCAL_M + 3 and transposed, so
+#: columns[k + 1][m + 2] = C(m, k), zero for k > m.  parts is the four tuples
+#: a, b, z0, zp of :func:`_row_parts`, each indexed by c.  One tuple, so a
+#: reader in another thread never pairs new rows with old columns or parts.
+_pascal_table: tuple[Grid, Grid, Grid] | None = None
 
 
-def _pascal() -> tuple[Grid, Grid]:
+def _pascal() -> tuple[Grid, Grid, Grid]:
     """The table of Pascal's triangle the small totals read, built on first use.
 
     The rows are those of ``_triangle_rows``, made by the adjacent-pair rule
-    and not by ``math.comb``, which the closed forms keep.
+    and not by ``math.comb``, which the closed forms keep; their tallies'
+    parts come from the rows.
     """
     global _pascal_table
     table = _pascal_table
@@ -239,15 +252,8 @@ def _pascal() -> tuple[Grid, Grid]:
         rows = tuple(_triangle_rows(0, PASCAL_M + 1))
         width = PASCAL_M + 3
         columns = tuple(zip(*(row + (0,) * (width - len(row)) for row in rows)))
-        table = _pascal_table = rows, columns
+        table = _pascal_table = rows, columns, tuple(zip(*map(_row_parts, rows)))
     return table
-
-
-def _rows(s: int) -> Iterable[tuple[int, ...]]:
-    """Rows 0..s of the d = 0 triangle, Pascal's: from the table up to s = 129."""
-    if s - 2 < PASCAL_M:
-        return _pascal()[0][: s + 1]
-    return _triangle_rows(0, s)
 
 
 def _weighted_columns(s: int, a: int, b: int, m_low: int) -> Iterator[int]:
@@ -317,6 +323,50 @@ def _slice_values(s: int, name: str, k: int) -> list[int]:
     return _with_difference(_pascal_row(s - k), k)
 
 
+def _closed_sv(s: int, v: int) -> tuple[int, int]:
+    """:func:`sum_fixed_sv`'s closed sum and nonzero count, at checked arguments."""
+    # math.comb(k, j) is 0 for j > k >= 0, and only s = 0 makes k negative
+    if v == 0:
+        return (math.comb(s - 1, 2) if s else 0), max(s - 2, 0)
+    return math.comb(s - 1, v) + math.comb(s - 1, v + 2), s - v
+
+
+def _closed_sd(s: int, d: int) -> tuple[int | None, int | None]:
+    """:func:`sum_fixed_sd`'s closed sum and nonzero count, at checked arguments."""
+    if d <= s - 2:
+        return (d + 1) * 2 ** (s - d - 2), s - 1 if d == 0 else s - d
+    return None, None
+
+
+def _closed_sn(s: int, n: int) -> tuple[int | None, int | None]:
+    """:func:`sum_fixed_sn`'s closed sum and nonzero count, at checked arguments."""
+    if n == 0:
+        return 0, 0
+    if n == 1:
+        return s - 1, s - 1
+    if n < s:
+        return 2 * math.comb(s - 1, n), s - n + 1
+    return None, None
+
+
+def _tally(values: list[int]) -> tuple[int, int]:
+    """The sum and the nonzero count of a slice's values."""
+    return sum(values), len(values) - values.count(0)
+
+
+def _slice_listing(s: int, name: str, k: int) -> tuple[SumReport, Iterator[Cell]]:
+    """The bare report of the slice with ``name`` pinned to k, and its listing.
+
+    Both read one list of the slice's values, so the report's verdict judges
+    the tally of the cells the listing yields.  The arguments are checked
+    before anything is built; the listing is lazy, as :func:`_listing`'s.
+    """
+    s, k = _pinned(s, name, k)
+    values = _slice_values(s, name, k)
+    closed = {"v": _closed_sv, "d": _closed_sd, "n": _closed_sn}[name](s, k)
+    return _report(*closed, _tally(values)), _listing(s, (name, k), values)
+
+
 def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     """Sum over all triples with total s and dimension pinned to v.
 
@@ -325,17 +375,9 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     """
     if not (type(s) is type(v) is int and 0 <= v <= s < COORD_LIMIT):
         s, v = _pinned(s, "v", v)
-    # math.comb(k, j) is 0 for j > k >= 0, and only s = 0 makes k negative
-    if v == 0:
-        formula_sum = math.comb(s - 1, 2) if s else 0
-        formula_multitude = max(s - 2, 0)
-    else:
-        formula_sum = math.comb(s - 1, v) + math.comb(s - 1, v + 2)
-        formula_multitude = s - v
     if include_triples:
-        return _report(formula_sum, formula_multitude, *_listed(s, ("v", v)))
-    values = _slice_values(s, "v", v)
-    return _report(formula_sum, formula_multitude, (sum(values), len(values) - values.count(0)))
+        return _report(*_closed_sv(s, v), *_listed(s, ("v", v)))
+    return _report(*_closed_sv(s, v), _tally(_slice_values(s, "v", v)))
 
 
 def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
@@ -344,19 +386,20 @@ def sum_fixed_sd(s: int, d: int, include_triples: bool = False) -> SumReport:
     Closed form (d + 1) * 2**(s - d - 2) applies for d <= s - 2, with
     nonzero count s - 1 when d = 0 and s - d otherwise.  For d in
     {s - 1, s} every candidate value is zero and no closed form applies.
-    Without a listing the Pascal row c = s - d is tallied, not lifted.
+    Without a listing the Pascal row c = s - d is tallied, not lifted: its
+    :func:`_row_parts` come from the table whenever c - 2 < PASCAL_M, at any
+    total, and from the row's ``math.comb`` map above.
     """
     if not (type(s) is type(d) is int and 0 <= d <= s < COORD_LIMIT):
         s, d = _pinned(s, "d", d)
-    if d <= s - 2:
-        formula_sum = (d + 1) * 2 ** (s - d - 2)
-        formula_multitude = s - 1 if d == 0 else s - d
-    else:
-        formula_sum = None
-        formula_multitude = None
     if include_triples:
-        return _report(formula_sum, formula_multitude, *_listed(s, ("d", d)))
-    return _report(formula_sum, formula_multitude, _lifted_tally(_pascal_row(s - d), d))
+        return _report(*_closed_sd(s, d), *_listed(s, ("d", d)))
+    c = s - d
+    if c - 2 < PASCAL_M:
+        a, b, z0, zp = map(itemgetter(c), _pascal()[2])
+    else:
+        a, b, z0, zp = _row_parts(_pascal_row(c))
+    return _report(*_closed_sd(s, d), (a + d * b, zp if d else z0))
 
 
 def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
@@ -369,20 +412,9 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     """
     if not (type(s) is type(n) is int and 0 <= n <= s < COORD_LIMIT):
         s, n = _pinned(s, "n", n)
-    if n == 0:
-        formula_sum, formula_multitude = 0, 0
-    elif n == 1:
-        formula_sum, formula_multitude = s - 1, s - 1
-    elif n < s:
-        formula_sum = 2 * math.comb(s - 1, n)
-        formula_multitude = s - n + 1
-    else:
-        formula_sum = None
-        formula_multitude = None
     if include_triples:
-        return _report(formula_sum, formula_multitude, *_listed(s, ("n", n)))
-    values = _slice_values(s, "n", n)
-    return _report(formula_sum, formula_multitude, (sum(values), len(values) - values.count(0)))
+        return _report(*_closed_sn(s, n), *_listed(s, ("n", n)))
+    return _report(*_closed_sn(s, n), _tally(_slice_values(s, "n", n)))
 
 
 def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
@@ -390,14 +422,15 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
 
     Closed forms 2**s - (s + 1) and C(s+1, 2) - 2 apply for s >= 2; for
     smaller totals only the enumeration stands.  The enumeration reads rows
-    c = 0..s of Pascal's triangle, the d = 0 triangle, and lifts row c to the
-    difference d = s - c by the difference gnomon.  Without a listing each
-    row adds its lifted sum, (P - row[c]) + d * (P - row[0]) with
-    P = sum(row), and its lifted nonzero count from where the row's own
-    zeros lie, so no lifted cell is built.  The rows, 0, C(c - 2, 0..c - 2),
-    0, come from :func:`_rows`: from the table the slices read up to s = 129,
-    built with ``_triangle_rows`` above.  A listing tallies its own cells,
-    which :func:`_simplex_cells` makes from two Pascal columns at a time.
+    c = 0..s of Pascal's triangle, the d = 0 triangle, each lifted to the
+    difference d = s - c by the difference gnomon.  Without a listing no
+    lifted cell is built: row c adds a[c] + d * b[c] to the sum, and z0[c]
+    (d = 0) or zp[c] (d > 0) to the nonzero count, from its
+    :func:`_row_parts`.  Up to s = 129 the parts are the table's, so the
+    total is a few reductions over slices of them and makes no Python call
+    per row; above, each row of ``_triangle_rows`` gives its parts.  A
+    listing tallies its own cells, which :func:`_simplex_cells` makes from
+    two Pascal columns at a time.
     """
     s = _check("s", s)
     if s >= 2:
@@ -408,8 +441,13 @@ def sum_fixed_s(s: int, include_triples: bool = False) -> SumReport:
         formula_multitude = None
     if include_triples:
         return _report(formula_sum, formula_multitude, *_listed(s))
-    row_sums, row_nonzeros = zip(*map(_lifted_tally, _rows(s), range(s, -1, -1)))
-    return _report(formula_sum, formula_multitude, (sum(row_sums), sum(row_nonzeros)))
+    if s - 2 < PASCAL_M:
+        a, b, z0, zp = _pascal()[2]
+    else:
+        a, b, z0, zp = zip(*map(_row_parts, _triangle_rows(0, s)))
+    # row c = s is lifted to d = 0, rows c < s to d = s - c > 0
+    total = sum(a[: s + 1]) + sum(map(mul, range(s, 0, -1), b[:s]))
+    return _report(formula_sum, formula_multitude, (total, sum(zp[:s]) + z0[s]))
 
 
 class _Lemma(NamedTuple):

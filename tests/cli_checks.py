@@ -161,6 +161,10 @@ ROWS = [
         sums(f"{s} --fix n=20", 2 * comb(s - 1, 20), s - 19))),
     *(sums(f"300 --fix d={d}", (d + 1) * 2**(300 - d - 2), 300 - d) for d in (171, 170, 250)),
     *(sums(f"{s}", 2**s - (s + 1), comb(s + 1, 2) - 2) for s in (65, 66, 129, 130)),
+    # a pinned difference's row c = s - d at the table's bound: d = 0 on both
+    # sides of it, and d = 1 with c = 129 from the table and c = 130 by comb
+    *(sums(f"{s} --fix d={d}", (d + 1) * 2**(s - d - 2), s - 1 if d == 0 else s - d)
+      for s, d in ((129, 0), (130, 0), (130, 1), (131, 1))),
     Row("verify --suite oracle", None),
     verify("oracle --vmax 16 --dmax 20 --nmax 300", "oracle,107457,0", timeout=5),
     verify("corollaries --cmax 48 --dmax 20", "corollaries,31738,0", timeout=20),

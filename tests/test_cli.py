@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import hypersolids
-from hypersolids import GridBounds, cli, diagonal_sum, hypersolid, kernel, triangle, verify
+from hypersolids import GridBounds, cli, diagonal_sum, hypersolid, kernel, sums, triangle, verify
 from hypersolids.cli import _digits, _integer, build_parser
 from hypersolids.cli import _triangle as cli_triangle
 
@@ -470,6 +470,47 @@ def test_sums_fix_validation(run_cli):
     assert run_cli("sums", "--s", "6", "--fix", "x=2")[0] == 2
     assert run_cli("sums", "--s", "6", "--fix", "v=two")[0] == 2
     assert run_cli("sums", "--s", "6", "--fix", "v=9")[0] == 2  # exceeds the total
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_listed_slice_makes_its_values_once(run_cli, monkeypatch, fmt):
+    # the verdict's tally and the listing read one list of the slice's
+    # values, on each axis, below and above the table's bound: one
+    # _slice_values call, and above the bound the comb calls of the bare query
+    calls, combs = [], [0]
+    slice_values, comb = sums._slice_values, sums.comb
+
+    def counting_values(s, name, k):
+        calls.append((s, name, k))
+        return slice_values(s, name, k)
+
+    def counting_comb(m, k):
+        combs[0] += 1
+        return comb(m, k)
+
+    sums._pascal()
+    monkeypatch.setattr(sums, "_slice_values", counting_values)
+    monkeypatch.setattr(sums, "comb", counting_comb)
+    queries = {"v": sums.sum_fixed_sv, "d": sums.sum_fixed_sd, "n": sums.sum_fixed_sn}
+    for s, name, k in [(12, "v", 3), (12, "d", 2), (12, "n", 4), (12, "d", 11),
+                       (200, "v", 90), (200, "d", 30), (200, "n", 70)]:
+        combs[0] = 0
+        bare = queries[name](s, k)
+        bare_combs = combs[0]
+        calls.clear()
+        combs[0] = 0
+        code, out, err = run_cli("sums", "--s", str(s), "--fix", f"{name}={k}", "--list",
+                                 "--format", fmt)
+        assert calls == [(s, name, k)] and combs[0] == bare_combs, (s, name, k)
+        assert (code, err) == (0 if bare.consistent else 1, ""), (s, name, k)
+        if fmt == "json":
+            values = [int(cell["value"]) for cell in json.loads(out)["result"]["triples"]]
+        elif fmt == "csv":
+            values = [int(line.rpartition(",")[2]) for line in out.splitlines()
+                      if line.startswith("triple,")]
+        else:
+            values = [int(line.rpartition(" = ")[2]) for line in out.splitlines()[3:]]
+        assert (sum(values), len(values)) == (bare.enumerated_sum, bare.enumerated_multitude)
 
 
 # ---------------------------------------------------------------- verify
@@ -1092,6 +1133,7 @@ def test_an_interrupted_write_keeps_the_old_file_and_leaves_no_temporary(tmp_pat
     "table --v 1 --dmax 2 --nmax 2",
     "triangle --d 1 --rows 5 --diagonals 1",
     "sums --s 6 --fix v=9",
+    "sums --s 6 --fix v=9 --list",
     "verify --suite oracle --jobs 0",
     "represent --value 0",
 ])

@@ -414,8 +414,9 @@ def test_slices_match_scalar_hypersolid_cell_by_cell(query, axis):
 
 def test_the_pascal_table_holds_every_binomial_below_its_bound():
     # rows c = 0..PASCAL_M + 1 of the d = 0 triangle, row[v] = C(c - 2, v - 1)
-    # zero-extended, and beside them the rows padded and transposed
-    rows, columns = sums._pascal()
+    # zero-extended, beside them the rows padded and transposed, and the
+    # four tallies' parts of each row, indexed by c
+    rows, columns, parts = sums._pascal()
     top = sums.PASCAL_M + 1
     assert rows == tuple(_triangle_rows(0, top))
     for c, row in enumerate(rows):
@@ -428,6 +429,9 @@ def test_the_pascal_table_holds_every_binomial_below_its_bound():
         for m in range(-2, sums.PASCAL_M):
             assert columns[k + 1][m + 2] == comb0(m, k), (m, k)
     assert max(map(max, rows)) == math.comb(sums.PASCAL_M - 1, (sums.PASCAL_M - 1) // 2)
+    assert len(parts) == 4 and {len(part) for part in parts} == {top + 1}
+    for c, row in enumerate(rows):
+        assert tuple(part[c] for part in parts) == sums._row_parts(row), c
 
 
 def test_slices_below_the_table_bound_call_no_comb(monkeypatch):
@@ -665,7 +669,8 @@ def test_the_simplex_walk_equals_the_pascal_rows_oracle_cell_by_cell(monkeypatch
     "s,total,multitude", [(0, 0, 0), (1, 0, 0), (2, 1, 1), (3, 4, 4)]
 )
 def test_simplex_total_corners(s, total, multitude):
-    # rows 0-2 of the triangle come from the closed form, not the pair rule
+    # rows 0-2 of the triangle are the seeds _triangle_rows writes as literals,
+    # and the pair rule builds no row below 3
     rep = sum_fixed_s(s)
     assert (rep.enumerated_sum, rep.enumerated_multitude) == (total, multitude)
     assert rep.formula_sum == (total if s >= 2 else None)
@@ -674,7 +679,7 @@ def test_simplex_total_corners(s, total, multitude):
     assert rep.triples is None
 
 
-def test_lifted_tally_equals_the_lifted_row_for_any_row():
+def test_row_parts_tally_the_lifted_row_for_any_row():
     # rows unlike Pascal's: nonzero ends, runs of zeros, one cell
     rows = [(0,), (5,), (0, 0), (3, 0), (0, 3), (4, 0, 0, 7), (0, 2, 0, 0, 1, 0), (1, 1, 1)]
     rows += [
@@ -686,7 +691,52 @@ def test_lifted_tally_equals_the_lifted_row_for_any_row():
         for d in (0, 1, 2, 7, 10**20):
             lifted = [row[v] + d * row[v + 1] for v in range(len(row) - 1)] + [0]
             want = (sum(lifted), len(lifted) - lifted.count(0))
-            assert sums._lifted_tally(row, d) == want, (row, d)
+            a, b, z0, zp = sums._row_parts(row)
+            assert (a + d * b, z0 if d == 0 else zp) == want, (row, d)
+
+
+def test_totals_below_the_table_bound_tally_no_row(monkeypatch):
+    # a bare total up to s = 129, and a pinned difference whose row c = s - d
+    # has c <= 129 at any total, read the table's parts and tally no row per
+    # call; a larger total tallies each of its rows once, and a pinned
+    # difference with c >= 130 its one row
+    sums._pascal()
+    real = sums._row_parts
+    calls = []
+
+    def counting(row):
+        calls.append(len(row) - 1)
+        return real(row)
+
+    monkeypatch.setattr(sums, "_row_parts", counting)
+    top = sums.PASCAL_M + 1
+    for s in range(top + 1):
+        assert sum_fixed_s(s).consistent is (s >= 2), s
+    for s in (0, 1, 2, 40, top - 1, top, top + 1, 200, 300):
+        for d in range(max(s - top, 0), s + 1):
+            assert sum_fixed_sd(s, d).consistent is (d <= s - 2), (s, d)
+    assert calls == []
+    assert sum_fixed_s(top + 1).consistent
+    assert calls == list(range(top + 2))
+    calls.clear()
+    for s in (top + 1, 200):
+        assert sum_fixed_sd(s, s - top - 1).consistent
+    assert calls == [top + 1, top + 1]
+
+
+def test_a_pinned_difference_totals_its_lifted_oracle_row_at_every_d():
+    # every d, on both sides of the table's bound, against the test-local
+    # Pascal rows lifted cell by cell: row c = s - d is 0, C(c - 2, ...), 0
+    pascal = pascal_rows(198)
+    for s in (129, 130, 131, 200):
+        for d in range(s + 1):
+            c = s - d
+            row = [0, *pascal[c - 2], 0] if c >= 2 else [0] * (c + 1)
+            lifted = [row[v] + d * row[v + 1] for v in range(c)] + [0]
+            report = sum_fixed_sd(s, d)
+            assert (report.enumerated_sum, report.enumerated_multitude) == (
+                sum(lifted), len(lifted) - lifted.count(0)), (s, d)
+            assert report.consistent is (d <= s - 2), (s, d)
 
 
 # ----------------------------------------------------------------- lemmas
