@@ -16,12 +16,15 @@ computes its O(s) values in one pass of maps, with the v = 0, rank 0 and
 rank 1 corners written out, and calls no Python function per cell.  The
 binomials come from one fixed table (:func:`_pascal`), built once, on first
 use, by the adjacent-pair rule: the d = 0 triangle's rows c = 0..PASCAL_M + 1,
-Pascal's rows 0..127 with their 8,256 nonzero entries, their columns, and
-each row's tally parts.  :func:`_weighted_columns` gives
-C(m, a) + (s - 2 - m) * C(m, b) down two columns, from the table up to
-s = 129 (s - 2 < :data:`PASCAL_M`) and by ``math.comb`` maps above: a
-pinned dimension reads columns (v - 1, v), a pinned rank (n - 1, n - 2), as
-C(m, v) = C(m, n - 2) there.  A pinned difference reads its one row
+Pascal's rows 0..127 with their 8,256 nonzero entries, their columns, each
+row's tally parts, and each column's running sums once and twice.
+:func:`_weighted_columns` gives C(m, a) + (s - 2 - m) * C(m, b) down two
+columns, from the table up to s = 129 (s - 2 < :data:`PASCAL_M`) and by
+``math.comb`` maps above: a pinned dimension reads columns (v - 1, v), a
+pinned rank (n - 1, n - 2), as C(m, v) = C(m, n - 2) there.  Without a
+listing, a pinned dimension v >= 1 or rank n >= 2 up to s = 129 builds no
+cell: :func:`_column_tally` adds up the same cells as a few differences of
+the two columns' running sums.  A pinned difference reads its one row
 c = s - d (:func:`_pascal_row`) from the table whenever c <= 129, at any
 total, and by a ``math.comb`` map above.  The closed forms keep
 ``math.comb``, so from the table the enumerated side shares no binomial with
@@ -230,21 +233,26 @@ def _listed(s: int, fixed: tuple[str, int] | None = None) -> tuple[tuple[int, in
 #: entry, C(127, 63), is below 2**124.
 PASCAL_M = 128
 
-#: ``(rows, columns, parts)`` once built.  rows[c] is row c of the d = 0
-#: triangle, 0, C(c - 2, 0..c - 2), 0, for c = 0..PASCAL_M + 1, and columns
-#: are the rows zero-padded to width PASCAL_M + 3 and transposed, so
+#: ``(rows, columns, parts, once, twice)`` once built.  rows[c] is row c of
+#: the d = 0 triangle, 0, C(c - 2, 0..c - 2), 0, for c = 0..PASCAL_M + 1, and
+#: columns are the rows zero-padded to width PASCAL_M + 3 and transposed, so
 #: columns[k + 1][m + 2] = C(m, k), zero for k > m.  parts is the four tuples
-#: a, b, z0, zp of :func:`_row_parts`, each indexed by c.  One tuple, so a
-#: reader in another thread never pairs new rows with old columns or parts.
-_pascal_table: tuple[Grid, Grid, Grid] | None = None
+#: a, b, z0, zp of :func:`_row_parts`, each indexed by c.  once[j][i] is the
+#: sum of columns[j][:i], for i = 0..PASCAL_M + 2, and twice[j][i] the sum of
+#: once[j][:i], for i = 0..PASCAL_M + 3.  One tuple, so a reader in another
+#: thread never pairs new rows with old columns, parts or sums.
+_pascal_table: tuple[Grid, Grid, Grid, Grid, Grid] | None = None
 
 
-def _pascal() -> tuple[Grid, Grid, Grid]:
+def _pascal() -> tuple[Grid, Grid, Grid, Grid, Grid]:
     """The table of Pascal's triangle the small totals read, built on first use.
 
     The rows are those of ``_triangle_rows``, made by the adjacent-pair rule
     and not by ``math.comb``, which the closed forms keep; their tallies'
-    parts come from the rows.
+    parts come from the rows, and each column's running sums from that
+    column's own cells.  A running sum of column j is column j + 1 by the
+    hockey stick, but it is never read off that column: a total read from
+    it would be the closed form evaluated from the table.
     """
     global _pascal_table
     table = _pascal_table
@@ -252,8 +260,30 @@ def _pascal() -> tuple[Grid, Grid, Grid]:
         rows = tuple(_triangle_rows(0, PASCAL_M + 1))
         width = PASCAL_M + 3
         columns = tuple(zip(*(row + (0,) * (width - len(row)) for row in rows)))
-        table = _pascal_table = rows, columns, tuple(zip(*map(_row_parts, rows)))
+        once = tuple(tuple(accumulate(column, initial=0)) for column in columns)
+        twice = tuple(tuple(accumulate(run, initial=0)) for run in once)
+        table = _pascal_table = rows, columns, tuple(zip(*map(_row_parts, rows))), once, twice
     return table
+
+
+def _column_tally(s: int, a: int, b: int, m_low: int) -> tuple[int, int]:
+    """The sum and nonzero count of ``_weighted_columns(s, a, b, m_low)``,
+    from the table's running sums, for s - 2 < PASCAL_M.
+
+    The cells are columns[a + 1][i] + (hi - 1 - i) * columns[b + 1][i] for
+    i in [lo, hi) = [m_low + 2, s + 1).  With P and R the running sums once
+    and twice of a column, the first terms add up to P_a[hi] - P_a[lo]; the
+    second adds column b's cell i once for each t in (i, hi), so it is the
+    sum of P_b[t] - P_b[lo] over t in [lo, hi).  A cell is zero exactly
+    where its C(m, a) is: a pinned dimension has b = a + 1, and C(m, a + 1)
+    is zero wherever C(m, a) is (m < a); a pinned rank has m >= a = n - 1,
+    where C(m, a) is never zero, and the weights are >= 0.
+    """
+    _, columns, _, once, twice = _pascal()
+    lo, hi = m_low + 2, s + 1
+    run_a, run_b, run2_b = once[a + 1], once[b + 1], twice[b + 1]
+    total = run_a[hi] - run_a[lo] + run2_b[hi] - run2_b[lo] - (hi - lo) * run_b[lo]
+    return total, hi - lo - columns[a + 1][lo:hi].count(0)
 
 
 def _weighted_columns(s: int, a: int, b: int, m_low: int) -> Iterator[int]:
@@ -371,12 +401,17 @@ def sum_fixed_sv(s: int, v: int, include_triples: bool = False) -> SumReport:
     """Sum over all triples with total s and dimension pinned to v.
 
     Closed form: C(s-1, 2) for v = 0, else C(s-1, v) + C(s-1, v+2); the
-    nonzero count is s - 2 (floored at 0) for v = 0, else s - v.
+    nonzero count is s - 2 (floored at 0) for v = 0, else s - v.  Without a
+    listing, v >= 1 up to s = 129 tallies its cells from the table's running
+    sums of columns v and v + 1 (:func:`_column_tally`); v = 0 and every
+    larger total tally the slice's values.
     """
     if not (type(s) is type(v) is int and 0 <= v <= s < COORD_LIMIT):
         s, v = _pinned(s, "v", v)
     if include_triples:
         return _report(*_closed_sv(s, v), *_listed(s, ("v", v)))
+    if v and s - 2 < PASCAL_M:
+        return _report(*_closed_sv(s, v), _column_tally(s, v - 1, v, max(v - 2, 0)))
     return _report(*_closed_sv(s, v), _tally(_slice_values(s, "v", v)))
 
 
@@ -408,12 +443,19 @@ def sum_fixed_sn(s: int, n: int, include_triples: bool = False) -> SumReport:
     Closed forms: 0 at n = 0, s - 1 at n = 1 and 2 * C(s-1, n) for
     2 <= n < s; the nonzero count is s - n at n = 1 and s - n + 1 for
     2 <= n < s.  At n = s the single candidate is zero and no closed form
-    applies.
+    applies.  Without a listing, n >= 2 up to s = 129 tallies its cells from
+    the table's running sums of columns n and n - 1 (:func:`_column_tally`)
+    and adds the v = 0 cell, s - n; n <= 1 and every larger total tally the
+    slice's values.
     """
     if not (type(s) is type(n) is int and 0 <= n <= s < COORD_LIMIT):
         s, n = _pinned(s, "n", n)
     if include_triples:
         return _report(*_closed_sn(s, n), *_listed(s, ("n", n)))
+    if n >= 2 and s - 2 < PASCAL_M:
+        total, nonzero = _column_tally(s, n - 1, n - 2, n - 1)
+        # the v = 0 cell holds d = s - n
+        return _report(*_closed_sn(s, n), (total + s - n, nonzero + (n < s)))
     return _report(*_closed_sn(s, n), _tally(_slice_values(s, "n", n)))
 
 

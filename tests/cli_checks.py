@@ -159,6 +159,12 @@ ROWS = [
     *(row for s in (65, 66, 129, 130) for row in (
         sums(f"{s} --fix v=20", comb(s - 1, 20) + comb(s - 1, 22), s - 20),
         sums(f"{s} --fix n=20", 2 * comb(s - 1, 20), s - 19))),
+    # the table's first and last columns on both sides of its bound: s = 129
+    # reads the running sums, s = 130 the math.comb maps
+    *(sums(f"{s} --fix v={v}", comb(s - 1, v) + comb(s - 1, v + 2), s - v)
+      for s in (129, 130) for v in (1, 128)),
+    *(sums(f"{s} --fix n={n}", 2 * comb(s - 1, n), s - n + 1)
+      for s in (129, 130) for n in (2, 128)),
     *(sums(f"300 --fix d={d}", (d + 1) * 2**(300 - d - 2), 300 - d) for d in (171, 170, 250)),
     *(sums(f"{s}", 2**s - (s + 1), comb(s + 1, 2) - 2) for s in (65, 66, 129, 130)),
     # a pinned difference's row c = s - d at the table's bound: d = 0 on both

@@ -414,9 +414,10 @@ def test_slices_match_scalar_hypersolid_cell_by_cell(query, axis):
 
 def test_the_pascal_table_holds_every_binomial_below_its_bound():
     # rows c = 0..PASCAL_M + 1 of the d = 0 triangle, row[v] = C(c - 2, v - 1)
-    # zero-extended, beside them the rows padded and transposed, and the
-    # four tallies' parts of each row, indexed by c
-    rows, columns, parts = sums._pascal()
+    # zero-extended, beside them the rows padded and transposed, the four
+    # tallies' parts of each row, indexed by c, and each column's running
+    # sums once and twice
+    rows, columns, parts, once, twice = sums._pascal()
     top = sums.PASCAL_M + 1
     assert rows == tuple(_triangle_rows(0, top))
     for c, row in enumerate(rows):
@@ -432,6 +433,87 @@ def test_the_pascal_table_holds_every_binomial_below_its_bound():
     assert len(parts) == 4 and {len(part) for part in parts} == {top + 1}
     for c, row in enumerate(rows):
         assert tuple(part[c] for part in parts) == sums._row_parts(row), c
+    assert len(once) == len(twice) == width
+    for j, column in enumerate(columns):
+        assert once[j] == tuple(sum(column[:i]) for i in range(top + 2)), j
+        assert twice[j] == tuple(sum(once[j][:i]) for i in range(top + 3)), j
+
+
+def test_bare_pinned_dimensions_and_ranks_below_the_table_bound_read_its_running_sums(
+        monkeypatch):
+    # a bare pinned dimension v >= 1 or rank n >= 2 up to s = 129 tallies its
+    # cells from the table's running sums: no slice of values, no column map
+    # and no comb call.  At s = 130 each makes exactly one _slice_values call
+    sums._pascal()
+    calls = []
+
+    def counting(name):
+        real = getattr(sums, name)
+
+        def call(*args):
+            calls.append((name, *args))
+            return real(*args)
+        return call
+
+    for name in ("_slice_values", "_weighted_columns", "comb"):
+        monkeypatch.setattr(sums, name, counting(name))
+    top = sums.PASCAL_M + 1
+    for s in range(top + 1):
+        for k in range(1, s + 1):
+            assert sum_fixed_sv(s, k).consistent, (s, k)
+        for k in range(2, s + 1):
+            assert sum_fixed_sn(s, k).consistent is (k < s), (s, k)
+    assert calls == []
+    s = top + 1
+    for name, query, first in (("v", sum_fixed_sv, 1), ("n", sum_fixed_sn, 2)):
+        for k in range(first, s + 1):
+            calls.clear()
+            assert query(s, k).consistent is (name == "v" or k < s), (name, k)
+            assert [call for call in calls if call[0] == "_slice_values"] == [
+                ("_slice_values", s, name, k)], (name, k)
+
+
+def test_bare_pinned_dimensions_and_ranks_tally_their_slice_values():
+    # every bare dimension and rank slice, on both sides of the table's
+    # bound, against the sum and nonzero count of its own values
+    for s in range(sums.PASCAL_M + 4):
+        for k in range(s + 1):
+            for name, query in (("v", sum_fixed_sv), ("n", sum_fixed_sn)):
+                report = query(s, k)
+                assert (report.enumerated_sum, report.enumerated_multitude) == sums._tally(
+                    sums._slice_values(s, name, k)), (name, s, k)
+
+
+@pytest.mark.parametrize("c0,v0", [(60, 20), (2, 1), (129, 1), (129, 64), (129, 129), (40, 40)])
+def test_a_changed_table_cell_fails_exactly_the_slices_that_read_it(monkeypatch, c0, v0):
+    # one cell of row c0 is one more than C(c0 - 2, v0 - 1), and no later row
+    # carries the change.  A bare dimension or rank slice up to s = 129 is a
+    # sum of C(m, v - 1) + d * C(m, v), m = v + n - 2 and d = s - 2 - m, so
+    # exactly the slices that hold the changed binomial with a weight > 0
+    # come out inconsistent: totals read off a neighbouring column would not
+    real = sums._triangle_rows
+
+    def changed(d, c_max, width=None):
+        for c, row in enumerate(real(d, c_max, width)):
+            yield row if c != c0 else (*row[:v0], row[v0] + 1, *row[v0 + 1:])
+
+    monkeypatch.setattr(sums, "_pascal_table", None)
+    monkeypatch.setattr(sums, "_triangle_rows", changed)
+    assert sums._pascal()[0][c0][v0] == comb0(c0 - 2, v0 - 1) + 1
+    m0, k0 = c0 - 2, v0 - 1
+    failing, want = set(), set()
+    for s in range(sums.PASCAL_M + 2):
+        for v in range(1, s + 1):  # cells m = max(v - 2, 0)..s - 2
+            if not sum_fixed_sv(s, v).consistent:
+                failing.add(("v", s, v))
+            if max(v - 2, 0) <= m0 <= s - 2 and (k0 == v - 1 or (k0 == v and m0 < s - 2)):
+                want.add(("v", s, v))
+        for n in range(2, s):  # cells m = n - 1..s - 2, C(m, n - 1) + d * C(m, n - 2)
+            if not sum_fixed_sn(s, n).consistent:
+                failing.add(("n", s, n))
+            if n - 1 <= m0 <= s - 2 and (k0 == n - 1 or (k0 == n - 2 and m0 < s - 2)):
+                want.add(("n", s, n))
+    assert want and failing == want
 
 
 def test_slices_below_the_table_bound_call_no_comb(monkeypatch):
